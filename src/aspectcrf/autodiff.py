@@ -34,7 +34,6 @@ __all__ = [
     "gather_rows",
     "index",
     "concat",
-    "split",
     "stack_rows",
     "reshape",
     "sigmoid",
@@ -46,7 +45,7 @@ __all__ = [
     "log_sum_exp",
     "reduce_sum",
     "mean",
-    "gru_cell",
+    "gru_sequence",
     "crf_marginals",
     "dropout_mask",
     "grad_check",
@@ -78,11 +77,13 @@ def _active_tape() -> "Tape | None":
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    # single-pass check: any NaN or Inf entry poisons the sum, and genuinely
-    # finite data never gets near the float64 overflow threshold here. The
-    # ufunc's reduce skips np.sum's Python wrapper, which otherwise dominates
-    # the cost of checking the tiny arrays this runs on after every op.
-    return math.isfinite(np.add.reduce(arr, axis=None))
+    # fast path: any NaN or Inf entry poisons the sum, so a finite sum proves
+    # every entry finite. The ufunc's reduce skips np.sum's Python wrapper,
+    # which otherwise dominates the cost of checking the tiny arrays this runs
+    # on after every op. A non-finite sum may still come from finite entries
+    # that overflow when added (numpy then warns), so that case is decided
+    # entry by entry.
+    return math.isfinite(np.add.reduce(arr, axis=None)) or bool(np.isfinite(arr).all())
 
 
 class Tensor:
@@ -197,9 +198,6 @@ class Tape:
             if g is None:
                 continue
             adjoint(g)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -397,20 +395,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward, "concat")
 
 
-def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
-    """Inverse of concat: cut a tensor into consecutive pieces along axis."""
-    if sum(sizes) != a.shape[axis]:
-        raise DimensionError(f"split sizes {list(sizes)} do not cover axis of length {a.shape[axis]}")
-    pieces = []
-    offset = 0
-    for size in sizes:
-        sl = [slice(None)] * a.ndim
-        sl[axis] = slice(offset, offset + size)
-        pieces.append(index(a, tuple(sl)))
-        offset += size
-    return pieces
-
-
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     """Stack equal-length 1-D tensors into a 2-D tensor, one per row."""
     vs = [as_tensor(v) for v in vectors]
@@ -545,42 +529,65 @@ def mean(a, axis: int | None = None) -> Tensor:
     return mul(reduce_sum(a, axis=axis), 1.0 / count)
 
 
-def gru_cell(xt: Tensor, hp: Tensor, h: Tensor) -> Tensor:
-    """Fused GRU cell, gates in (reset, update, candidate) order.
+def gru_sequence(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool = False) -> Tensor:
+    """One GRU direction over a whole sentence, gates in (reset, update, candidate) order.
 
-    With xt the input projection row and hp the hidden projection (each 3H),
+    ``xp`` is the n x 3H input projection. From h = 0, each step t (last to
+    first when ``reverse`` is set) computes
 
-        r  = sigmoid(xt[0:H]  + hp[0:H])
-        u  = sigmoid(xt[H:2H] + hp[H:2H])
-        c  = tanh(xt[2H:] + r * hp[2H:])
+        hp = h @ w_hh + b_hh
+        r  = sigmoid(xp[t, 0:H]  + hp[0:H])
+        u  = sigmoid(xp[t, H:2H] + hp[H:2H])
+        c  = tanh(xp[t, 2H:] + r * hp[2H:])
         h' = (1 - u) * c + u * h
 
-    One tape entry instead of ~17; the adjoint below is the hand-derived
-    chain rule for all three inputs and is pinned against the primitive
+    and returns the n x H hidden states in sentence order. One tape entry
+    instead of four per token; the adjoint is backprop through time (Werbos
+    1990) with hand-derived per-step terms, pinned against the primitive
     composition in the tests.
     """
-    hidden = h.shape[0]
-    if xt.shape != (3 * hidden,) or hp.shape != (3 * hidden,):
+    n, H = (xp.shape[0] if xp.ndim else 0), (w_hh.shape[0] if w_hh.ndim else 0)
+    if n < 1 or xp.shape != (n, 3 * H) or w_hh.shape != (H, 3 * H) or b_hh.shape != (3 * H,):
         raise DimensionError(
-            f"gru_cell expects projections of shape ({3 * hidden},), got {xt.shape} and {hp.shape}"
+            f"gru_sequence expects xp (n >= 1, 3H), w_hh (H, 3H), b_hh (3H,), "
+            f"got {xp.shape}, {w_hh.shape}, {b_hh.shape}"
         )
-    x = xt.data
-    hh = hp.data
-    r = 1.0 / (1.0 + np.exp(-(x[:hidden] + hh[:hidden])))
-    u = 1.0 / (1.0 + np.exp(-(x[hidden : 2 * hidden] + hh[hidden : 2 * hidden])))
-    hp_c = hh[2 * hidden :]
-    c = np.tanh(x[2 * hidden :] + r * hp_c)
-    out_data = (1.0 - u) * c + u * h.data
+    X, W, b = xp.data, w_hh.data, b_hh.data
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    states = np.empty((n, H))
+    prev = np.empty((n, H))  # the state each step started from
+    ru = np.empty((n, 2 * H))
+    c = np.empty((n, H))
+    hp_c = np.empty((n, H))
+    h = np.zeros(H)
+    for t in order:
+        prev[t] = h
+        hp = h @ W + b
+        ru[t] = 1.0 / (1.0 + np.exp(-(X[t, : 2 * H] + hp[: 2 * H])))
+        hp_c[t] = hp[2 * H :]
+        c[t] = np.tanh(X[t, 2 * H :] + ru[t, :H] * hp_c[t])
+        h = states[t] = (1.0 - ru[t, H:]) * c[t] + ru[t, H:] * h
+    r, u = ru[:, :H], ru[:, H:]
 
     def backward(g):
-        gu = g * (h.data - c) * u * (1.0 - u)
-        ga_c = g * (1.0 - u) * (1.0 - c * c)
-        ga_r = ga_c * hp_c * r * (1.0 - r)
-        _accumulate(xt, np.concatenate([ga_r, gu, ga_c]))
-        _accumulate(hp, np.concatenate([ga_r, gu, ga_c * r]))
-        _accumulate(h, g * u)
+        # g_hp[t] is the gradient into step t's hidden projection hp
+        g_hp = np.empty((n, 3 * H))
+        g_xc = np.empty((n, H))
+        carry = np.zeros(H)
+        for t in reversed(order):
+            gh = g[t] + carry
+            g_hp[t, H : 2 * H] = gh * (prev[t] - c[t]) * u[t] * (1.0 - u[t])
+            g_xc[t] = gh * (1.0 - u[t]) * (1.0 - c[t] * c[t])
+            g_hp[t, :H] = g_xc[t] * hp_c[t] * r[t] * (1.0 - r[t])
+            g_hp[t, 2 * H :] = g_xc[t] * r[t]
+            carry = gh * u[t] + W @ g_hp[t]
+        g_xp = g_hp.copy()
+        g_xp[:, 2 * H :] = g_xc
+        _accumulate(xp, g_xp)
+        _accumulate(w_hh, prev.T @ g_hp)
+        _accumulate(b_hh, g_hp.sum(axis=0))
 
-    return _make(out_data, (xt, hp, h), backward, "gru_cell")
+    return _make(states, (xp, w_hh, b_hh), backward, "gru_sequence")
 
 
 def _softmax_weights(x: np.ndarray, axis: int) -> np.ndarray:

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
-from .data import LABELS, Vocabulary
+from .config import ConfigError, RunConfig
+from .data import LABELS, CorpusFormatError, Vocabulary
 from .model import ModelParams, init_params
 
 MAGIC = b"ACRF"
@@ -59,6 +59,13 @@ class _Reader:
 
     def block(self) -> bytes:
         return self.take(self.u32())
+
+    def text(self, what: str) -> str:
+        """A block decoded as UTF-8."""
+        try:
+            return self.block().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint {what} is not valid UTF-8: {exc}") from exc
 
 
 def build_meta(
@@ -117,10 +124,17 @@ def deserialize(blob: bytes) -> Loaded:
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    config = RunConfig.from_json(reader.block().decode("utf-8"))
-    meta = json.loads(reader.block().decode("utf-8"))
-    vocab_tokens = reader.block().decode("utf-8").split("\n")
-    vocab = Vocabulary.from_tokens(vocab_tokens)
+    try:
+        config = RunConfig.from_json(reader.text("config"))
+        meta = json.loads(reader.text("meta"))
+        vocab = Vocabulary.from_tokens(reader.text("vocabulary").split("\n"))
+    except (ConfigError, json.JSONDecodeError, CorpusFormatError) as exc:
+        raise CheckpointError(f"checkpoint header rejected: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint meta must be a JSON object")
+    max_len, mask_text = meta.get("max_sentence_len"), meta.get("pretrained_mask", "")
+    if type(max_len) is not int or max_len < 1 or not isinstance(mask_text, str):
+        raise CheckpointError("checkpoint meta needs a positive int max_sentence_len and a string pretrained_mask")
     stored_hash = meta.get("vocab_sha256", "")
     if vocab.content_hash() != stored_hash:
         raise CheckpointError(
@@ -134,7 +148,7 @@ def deserialize(blob: bytes) -> Loaded:
     count = reader.u32()
     seen = set()
     for _ in range(count):
-        name = reader.block().decode("utf-8")
+        name = reader.text("tensor name")
         ndim = reader.u32()
         dims = tuple(reader.u32() for _ in range(ndim))
         size = int(np.prod(dims)) if dims else 1
@@ -149,7 +163,6 @@ def deserialize(blob: bytes) -> Loaded:
     missing = set(named) - seen
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
-    mask_text = meta.get("pretrained_mask", "")
     params.pretrained_mask = np.array([ch == "1" for ch in mask_text], dtype=bool)
     return Loaded(params=params, config=config, vocab=vocab, meta=meta)
 

@@ -43,11 +43,6 @@ class Prediction:
         self.label = LABELS[int(np.argmax(self.probabilities))]
 
 
-def predict(q: Tensor, params: ClassifierParams) -> Prediction:
-    probs = ad.softmax(logits(q, params)).numpy()
-    return Prediction(probabilities=probs)
-
-
 def nll_loss(class_logits: Tensor, gold_label: str) -> Tensor:
     """-log P(gold); the probability is floored at 1e-12 before the log."""
     gold = LABEL_TO_ID[gold_label]

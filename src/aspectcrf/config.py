@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,10 @@ DEFAULT_GRID = {
     "gamma": [1, 2, 3],
     "gru_layers": [1, 2, 3],
 }
+
+
+# the JSON types each annotated field type accepts; bools are never numbers
+_ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 class ConfigError(ValueError):
@@ -69,6 +74,16 @@ class RunConfig:
             if not cond:
                 raise ConfigError(f"{field}: {message}")
 
+        # types first, so the domain checks below only ever compare like with like
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            well_typed = isinstance(value, _ACCEPTED_TYPES[f.type]) and (
+                isinstance(value, bool) == (f.type == "bool")
+            )
+            check(well_typed, f.name, f"must be of type {f.type}, got {type(value).__name__}")
+            if f.type == "float":
+                # also rejects NaN, and ints too large to become a float64
+                check(abs(value) <= sys.float_info.max, f.name, "must be a finite float64")
         check(self.hidden_size in HIDDEN_SIZES, "hidden_size", f"must be one of {HIDDEN_SIZES}")
         check(self.batch_size in BATCH_SIZES, "batch_size", f"must be one of {BATCH_SIZES}")
         lo, hi = DROPOUT_RANGE
@@ -80,6 +95,7 @@ class RunConfig:
         check(self.lr >= 0, "lr", "must be >= 0")
         check(self.max_epochs >= 1, "max_epochs", "must be >= 1")
         check(self.patience >= 1, "patience", "must be >= 1")
+        check(self.seed >= 0, "seed", "must be >= 0")
         check(self.embedding_dim >= 1, "embedding_dim", "must be >= 1")
         check(
             self.selection_metric in SELECTION_METRICS,
@@ -112,7 +128,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, over-long ints, deep nesting
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")

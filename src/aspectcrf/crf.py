@@ -32,9 +32,6 @@ from .autodiff import Tensor
 YES = 0
 NO = 1
 
-# state order in the diagnostic 4x4 transition view
-START_STATE, YES_STATE, NO_STATE, END_STATE = 0, 1, 2, 3
-
 BRUTE_FORCE_MAX_LEN = 12
 
 
@@ -43,8 +40,8 @@ class CrfHeadParams:
     """Trainable pieces of one head.
 
     The boundary transitions live in separate vectors rather than one 4x4
-    matrix so that every stored tensor is finite; the masked -inf entries of
-    the textbook matrix exist only in the diagnostic view below.
+    matrix over {START, Yes, No, END} so that every stored tensor is finite;
+    the textbook matrix would need -inf for its impossible moves.
     """
 
     w_emit: Tensor  # 2H x 2
@@ -64,17 +61,6 @@ def init_crf_head(rep_dim: int, rng: np.random.Generator, name: str) -> CrfHeadP
         start=Tensor(np.zeros(2), requires_grad=True, name=f"{name}.start"),
         end=Tensor(np.zeros(2), requires_grad=True, name=f"{name}.end"),
     )
-
-
-def full_transition_matrix(head: CrfHeadParams) -> np.ndarray:
-    """4x4 view over {START, Yes, No, END}; impossible moves are -inf."""
-    m = np.full((4, 4), -np.inf)
-    m[START_STATE, YES_STATE] = head.start.data[YES]
-    m[START_STATE, NO_STATE] = head.start.data[NO]
-    m[YES_STATE:NO_STATE + 1, YES_STATE:NO_STATE + 1] = head.trans.data
-    m[YES_STATE, END_STATE] = head.end.data[YES]
-    m[NO_STATE, END_STATE] = head.end.data[NO]
-    return m
 
 
 def emissions(r: Tensor, head: CrfHeadParams) -> Tensor:

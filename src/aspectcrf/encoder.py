@@ -29,10 +29,6 @@ class GruDirectionParams:
     b_ih: Tensor  # 3H
     b_hh: Tensor  # 3H
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_hh.shape[0]
-
 
 @dataclass
 class GruLayerParams:
@@ -51,34 +47,20 @@ def init_gru_direction(d_in: int, hidden: int, rng: np.random.Generator, name: s
     )
 
 
-def _run_direction(x: Tensor, p: GruDirectionParams, reverse: bool) -> list[Tensor]:
-    """Run one GRU direction over x (n x d_in); returns hidden states in sentence order."""
-    n = x.shape[0]
-    hidden = p.hidden_size
-    # one big input projection instead of n small ones
-    xp = ad.add(ad.matmul(x, p.w_ih), p.b_ih)  # n x 3H
-    h = Tensor(np.zeros(hidden))
-    states: list[Tensor] = [None] * n  # type: ignore[list-item]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        hp = ad.add(ad.matmul(h, p.w_hh), p.b_hh)
-        h = ad.gru_cell(xp[t], hp, h)
-        states[t] = h
-    return states
-
-
 def bigru_encode(x: Tensor, layers: list[GruLayerParams]) -> Tensor:
     """Stacked Bi-GRU: returns n x 2H with [forward_t ; backward_t] rows.
 
     Initial hidden states are zero; layer l+1 consumes layer l's output.
     """
-    if x.shape[0] < 1:
-        raise ad.DimensionError("bigru_encode needs at least one token")
     out = x
     for layer in layers:
-        fwd = _run_direction(out, layer.forward, reverse=False)
-        bwd = _run_direction(out, layer.backward, reverse=True)
-        out = ad.stack_rows([ad.concat([f, b]) for f, b in zip(fwd, bwd)])
+        # per direction: one input projection for all tokens (n x 3H), then
+        # the whole recurrence as one tape entry
+        states = [
+            ad.gru_sequence(ad.add(ad.matmul(out, d.w_ih), d.b_ih), d.w_hh, d.b_hh, reverse)
+            for d, reverse in ((layer.forward, False), (layer.backward, True))
+        ]
+        out = ad.concat(states, axis=1)
     return out
 
 

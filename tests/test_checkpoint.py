@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,6 +21,15 @@ from aspectcrf.checkpoint import (
 from aspectcrf.config import RunConfig
 from aspectcrf.data import Vocabulary
 from aspectcrf.model import init_params
+
+
+def with_block(blob: bytes, which: int, payload: bytes) -> bytes:
+    """Replace the config (0), meta (1) or vocabulary (2) block of a blob."""
+    pos = 8  # magic + version
+    for _ in range(which):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    end = pos + 4 + struct.unpack_from("<I", blob, pos)[0]
+    return blob[:pos] + struct.pack("<I", len(payload)) + payload + blob[end:]
 
 
 def make_fixture(seed=0, **overrides):
@@ -86,7 +97,6 @@ class TestRejection:
             deserialize(b"XXXX" + blob[4:])
 
     def test_unsupported_version(self):
-        import struct
         blob = serialize(*make_fixture())
         bad = MAGIC + struct.pack("<I", FORMAT_VERSION + 1) + blob[8:]
         with pytest.raises(CheckpointError, match="version"):
@@ -103,12 +113,38 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="0{8}.*hashes to"):
             deserialize(serialize(params, cfg, vocab, meta))
 
+    @pytest.mark.parametrize("which,what", [(0, "config"), (1, "meta"), (2, "vocabulary")])
+    def test_non_utf8_block(self, which, what):
+        blob = with_block(serialize(*make_fixture()), which, b"\xff\xfe{}")
+        with pytest.raises(CheckpointError, match=f"{what} is not valid UTF-8"):
+            deserialize(blob)
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (b'{"max_sentence_len": 12', "header rejected: Expecting"),
+            (b"[1, 2]", "must be a JSON object"),
+            (b'{"max_sentence_len": "12"}', "max_sentence_len"),
+            (b'{"max_sentence_len": 12, "pretrained_mask": 101}', "pretrained_mask"),
+        ],
+    )
+    def test_malformed_meta(self, payload, message):
+        blob = with_block(serialize(*make_fixture()), 1, payload)
+        with pytest.raises(CheckpointError, match=message):
+            deserialize(blob)
+
+    def test_invalid_config_or_vocabulary(self):
+        blob = serialize(*make_fixture())
+        with pytest.raises(CheckpointError, match="header rejected: hidden_size"):
+            deserialize(with_block(blob, 0, b'{"hidden_size": 64.0}'))
+        with pytest.raises(CheckpointError, match="header rejected: vocabulary"):
+            deserialize(with_block(blob, 2, b"the\npizza"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "absent.acrf")
 
     def test_missing_tensor_detected(self):
-        import struct
         from aspectcrf.checkpoint import _Reader
 
         params, cfg, vocab, meta = make_fixture()

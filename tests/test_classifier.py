@@ -15,7 +15,6 @@ from aspectcrf.classifier import (
     logits,
     metrics,
     nll_loss,
-    predict,
 )
 
 
@@ -31,13 +30,6 @@ class TestLogitsAndPrediction:
         assert Prediction(np.array([0.2, 0.5, 0.3])).label == "neutral"
         assert Prediction(np.array([0.7, 0.2, 0.1])).label == "positive"
         assert Prediction(np.array([0.1, 0.2, 0.7])).label == "negative"
-
-    def test_predict_probabilities_normalized(self):
-        rng = np.random.default_rng(1)
-        params = init_classifier(4, rng)
-        pred = predict(Tensor(rng.normal(size=4)), params)
-        npt.assert_allclose(pred.probabilities.sum(), 1.0, rtol=0, atol=1e-12)
-        assert np.all(pred.probabilities > 0)
 
 
 class TestNllLoss:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ class TestEval:
                      str(workdir / "test.jsonl")])
         assert code == 1
         assert capsys.readouterr().err.startswith("checkpoint-error:")
+
+    @pytest.mark.parametrize("meta", [b"\xff\xfe", b'{"max_sentence_len": '])
+    def test_eval_corrupt_checkpoint(self, workdir, trained, capsys, meta):
+        # swap the meta block for non-UTF-8 bytes or malformed JSON
+        blob = trained.read_bytes()
+        config_len = struct.unpack_from("<I", blob, 8)[0]
+        meta_at = 12 + config_len
+        meta_end = meta_at + 4 + struct.unpack_from("<I", blob, meta_at)[0]
+        bad = workdir / "corrupt.acrf"
+        bad.write_bytes(blob[:meta_at] + struct.pack("<I", len(meta)) + meta + blob[meta_end:])
+        code = main(["eval", "--ckpt", str(bad), "--test", str(workdir / "test.jsonl")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("checkpoint-error:")
 
 
 class TestExplain:

@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectcrf.config import DEFAULT_GRID, ConfigError, RunConfig
+
+FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+# mostly real field names, so that most objects reach the type and domain checks
+json_objects = st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(), json_values, max_size=6)
 
 
 class TestValidation:
@@ -30,11 +45,30 @@ class TestValidation:
             ("selection_metric", "loss"),
             ("corpus_format", "csv"),
             ("embedding_dim", 0),
+            # types are checked exactly: bools are not numbers, ints take ints only
+            ("crf_heads", True),
+            ("hidden_size", 64.0),
+            ("seed", None),
+            ("seed", -1),
+            ("max_epochs", 2.5),
+            ("dropout", False),
+            ("lr", "0.01"),
+            ("lr", float("inf")),
+            ("lr", float("nan")),
+            pytest.param("lr", 10**400, id="lr-huge-int"),
+            ("no_decay", 1),
+            ("embeddings_trainable", "yes"),
+            ("train_path", None),
+            ("selection_metric", 0),
         ],
     )
     def test_out_of_domain_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field.split("_")[0]):
             RunConfig(**{field: value})
+
+    def test_float_fields_accept_ints(self):
+        cfg = RunConfig.from_json('{"lr": 1}')
+        assert cfg.lr == 1 and RunConfig(lr=0).lr == 0
 
     def test_error_names_offending_field(self):
         with pytest.raises(ConfigError, match="hidden_size"):
@@ -51,6 +85,19 @@ class TestValidation:
     def test_effective_gamma_under_ablation(self):
         assert RunConfig(gamma=3, no_decay=True).effective_gamma == 0
         assert RunConfig(gamma=3).effective_gamma == 3
+
+
+class TestFromJsonProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(json_objects)
+    def test_returns_config_or_raises_config_error(self, obj):
+        try:
+            cfg = RunConfig.from_json(json.dumps(obj))
+        except ConfigError:
+            return
+        # what is accepted serializes as standard JSON (no NaN or Infinity) and round-trips
+        json.dumps(dataclasses.asdict(cfg), allow_nan=False)
+        assert RunConfig.from_json(cfg.to_canonical_json()) == cfg
 
 
 class TestSerialization:

@@ -15,7 +15,6 @@ from aspectcrf.crf import (
     CrfHeadParams,
     brute_force_oracle,
     emissions,
-    full_transition_matrix,
     init_crf_head,
     log_partition,
     marginals,
@@ -290,19 +289,6 @@ class TestBruteForce:
 
 
 class TestTransitionView:
-    def test_impossible_moves_are_masked(self):
-        head = make_head(
-            trans=[[1.0, 2.0], [3.0, 4.0]], start=[5.0, 6.0], end=[7.0, 8.0]
-        )
-        m = full_transition_matrix(head)
-        assert m.shape == (4, 4)
-        npt.assert_array_equal(m[1:3, 1:3], [[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_array_equal(m[0, 1:3], [5.0, 6.0])
-        npt.assert_array_equal(m[1:3, 3], [7.0, 8.0])
-        masked = [(0, 0), (0, 3), (1, 0), (3, 0), (3, 3), (2, 0)]
-        for a, b in masked:
-            assert m[a, b] == -np.inf
-
     def test_stored_tensors_stay_finite(self):
         head = make_head()
         for t in (head.trans, head.start, head.end, head.w_emit, head.b_emit):

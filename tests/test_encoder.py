@@ -32,6 +32,33 @@ def gru_cell_oracle(xp, hp, h):
     return (1.0 - u) * c + u * h
 
 
+def gru_direction_oracle(xp, w_hh, b_hh, reverse):
+    """gru_cell_oracle looped over the sentence from h = 0, states in sentence order."""
+    n, H = xp.shape[0], w_hh.shape[0]
+    h = np.zeros(H)
+    states = np.empty((n, H))
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h = gru_cell_oracle(xp[t], h @ w_hh + b_hh, h)
+        states[t] = h
+    return states
+
+
+def taped_gru_direction(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool) -> Tensor:
+    """Reference only: the recurrence as a per-step composition of taped primitives."""
+    n, H = xp.shape[0], w_hh.shape[0]
+    h = Tensor(np.zeros(H))
+    states = [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        hp = ad.add(ad.matmul(h, w_hh), b_hh)
+        x = xp[t]
+        r = ad.sigmoid(ad.add(x[:H], hp[:H]))
+        u = ad.sigmoid(ad.add(x[H:2 * H], hp[H:2 * H]))
+        c = ad.tanh(ad.add(x[2 * H:], ad.mul(r, hp[2 * H:])))
+        h = ad.add(ad.mul(ad.sub(1.0, u), c), ad.mul(u, h))
+        states[t] = h
+    return ad.stack_rows(states)
+
+
 def make_layer(d_in, hidden, rng):
     return GruLayerParams(
         forward=init_gru_direction(d_in, hidden, rng, "fwd"),
@@ -39,27 +66,80 @@ def make_layer(d_in, hidden, rng):
     )
 
 
-class TestGruCell:
+def gru_inputs(n, H, rng):
+    xp = Tensor(rng.normal(size=(n, 3 * H)), requires_grad=True, name="xp")
+    w_hh = Tensor(rng.normal(size=(H, 3 * H)), requires_grad=True, name="w_hh")
+    b_hh = Tensor(rng.normal(size=3 * H), requires_grad=True, name="b_hh")
+    return xp, w_hh, b_hh
+
+
+def values_and_gradients(run, inputs, upstream):
+    """run(*inputs) and the gradients of sum(run(*inputs) * upstream) into inputs."""
+    for t in inputs:
+        t.zero_grad()
+    with Tape() as tape:
+        out = run(*inputs)
+        tape.backward(ad.reduce_sum(ad.mul(out, upstream)))
+    return out.numpy(), [t.grad.copy() for t in inputs]
+
+
+class TestGruSequence:
     def test_matches_composed_gates(self):
+        # values against the numpy oracle, values and gradients into xp, w_hh
+        # and b_hh against the taped per-step composition under random
+        # upstream weights
         rng = np.random.default_rng(0)
-        H = 5
-        xp = rng.normal(size=3 * H)
-        hp = rng.normal(size=3 * H)
-        h = rng.normal(size=H)
-        out = ad.gru_cell(Tensor(xp), Tensor(hp), Tensor(h))
-        npt.assert_allclose(out.numpy(), gru_cell_oracle(xp, hp, h), rtol=0, atol=1e-14)
+        H = 4
+        for reverse in (False, True):
+            for n in range(1, 15):
+                inputs = gru_inputs(n, H, rng)
+                upstream = Tensor(rng.normal(size=(n, H)))
+                fused, fused_grads = values_and_gradients(
+                    lambda *a: ad.gru_sequence(*a, reverse=reverse), inputs, upstream
+                )
+                taped, taped_grads = values_and_gradients(
+                    lambda *a: taped_gru_direction(*a, reverse=reverse), inputs, upstream
+                )
+                oracle = gru_direction_oracle(*(t.data for t in inputs), reverse)
+                npt.assert_allclose(fused, oracle, rtol=0, atol=1e-12)
+                npt.assert_allclose(fused, taped, rtol=0, atol=1e-12)
+                for got, want in zip(fused_grads, taped_grads):
+                    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
-        H = 4
-        xp = Tensor(rng.normal(size=3 * H), requires_grad=True, name="xp")
-        hp = Tensor(rng.normal(size=3 * H), requires_grad=True, name="hp")
-        h = Tensor(rng.normal(size=H), requires_grad=True, name="h")
-        w = Tensor(rng.normal(size=H))  # fixed weights make the loss non-degenerate
-        report = ad.grad_check(
-            lambda: ad.reduce_sum(ad.mul(ad.gru_cell(xp, hp, h), w)), [xp, hp, h]
-        )
-        assert report.passed, report.failures
+        for reverse in (False, True):
+            xp, w_hh, b_hh = gru_inputs(5, 3, rng)
+            w = Tensor(rng.normal(size=(5, 3)))  # fixed weights make the loss non-degenerate
+            report = ad.grad_check(
+                lambda: ad.reduce_sum(ad.mul(ad.gru_sequence(xp, w_hh, b_hh, reverse), w)),
+                [xp, w_hh, b_hh],
+            )
+            assert report.passed, report.failures
+
+    def test_rejects_bad_shapes(self):
+        xp, w_hh, b_hh = gru_inputs(3, 2, np.random.default_rng(2))
+        bad = [
+            (Tensor(np.zeros((0, 6))), w_hh, b_hh),  # no tokens
+            (Tensor(np.zeros(6)), w_hh, b_hh),  # xp not 2-D
+            (Tensor(np.zeros((3, 5))), w_hh, b_hh),  # xp width != 3H
+            (xp, Tensor(np.zeros((2, 5))), b_hh),  # w_hh not H x 3H
+            (xp, Tensor(np.zeros(6)), b_hh),  # w_hh not 2-D
+            (xp, w_hh, Tensor(np.zeros(5))),  # b_hh not 3H
+        ]
+        for args in bad:
+            with pytest.raises(ad.DimensionError):
+                ad.gru_sequence(*args)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_bigru_tape_entries_independent_of_length(self, num_layers):
+        # matmul + add + gru_sequence per direction, one concat per layer
+        rng = np.random.default_rng(3)
+        layers = [make_layer(3, 4, rng)] + [make_layer(8, 4, rng) for _ in range(num_layers - 1)]
+        for n in (1, 2, 7, 30):
+            with Tape() as tape:
+                bigru_encode(Tensor(rng.normal(size=(n, 3))), layers)
+            assert len(tape) == 7 * num_layers
 
 
 class TestBiGru:
