@@ -34,7 +34,7 @@ __all__ = [
     "gather_rows",
     "index",
     "concat",
-    "stack_rows",
+    "stack",
     "reshape",
     "sigmoid",
     "tanh",
@@ -171,7 +171,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple["Tensor | _Joint", Callable]] = []
+        self._entries: list[tuple[Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -185,7 +185,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, out: "Tensor | _Joint", backward: Callable) -> None:
+    def record(self, out: Tensor, backward: Callable) -> None:
         self._entries.append((out, backward))
 
     def backward(self, loss: Tensor) -> None:
@@ -229,42 +229,6 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backward, op: str) -> 
         if tape is not None:
             tape.record(out, backward)
     return out
-
-
-class _Joint:
-    """Tape handle for an op with several outputs.
-
-    Its ``grad`` is None until some output has received a gradient, then the
-    list of all output gradients with zeros standing in for the rest. Every
-    consumer of an output is recorded after the op, so by the time the
-    reverse sweep reaches the op each gradient is complete.
-    """
-
-    __slots__ = ("outs",)
-
-    def __init__(self, outs: tuple[Tensor, ...]):
-        self.outs = outs
-
-    @property
-    def grad(self) -> list[np.ndarray] | None:
-        grads = [o.grad for o in self.outs]
-        if all(g is None for g in grads):
-            return None
-        return [np.zeros_like(o.data) if g is None else g for o, g in zip(self.outs, grads)]
-
-
-def _make_joint(outs_data: Sequence[np.ndarray], inputs: Sequence[Tensor], backward, op: str) -> tuple[Tensor, ...]:
-    """Like _make for several outputs sharing one tape entry; ``backward``
-    receives the list of their gradients."""
-    # each output is made input-free, so it is finite-checked but not recorded
-    outs = tuple(_make(data, (), None, op) for data in outs_data)
-    if any(t.requires_grad for t in inputs):
-        for out in outs:
-            out.requires_grad = True
-        tape = _active_tape()
-        if tape is not None:
-            tape.record(_Joint(outs), backward)
-    return outs
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -395,18 +359,18 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward, "concat")
 
 
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length 1-D tensors into a 2-D tensor, one per row."""
-    vs = [as_tensor(v) for v in vectors]
-    if not vs:
-        raise DimensionError("stack_rows of zero tensors")
-    out_data = np.stack([v.data for v in vs], axis=0)
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis."""
+    ts = [as_tensor(t) for t in tensors]
+    if not ts:
+        raise DimensionError("stack of zero tensors")
+    out_data = np.stack([t.data for t in ts], axis=0)
 
     def backward(g):
-        for i, v in enumerate(vs):
-            _accumulate(v, g[i])
+        for i, t in enumerate(ts):
+            _accumulate(t, g[i])
 
-    return _make(out_data, vs, backward, "stack_rows")
+    return _make(out_data, ts, backward, "stack")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -595,72 +559,81 @@ def _softmax_weights(x: np.ndarray, axis: int) -> np.ndarray:
     return w / w.sum(axis=axis, keepdims=True)
 
 
-def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> tuple[Tensor, Tensor]:
-    """Fused two-label linear-chain CRF: (P(z_t = 0 | x) for t = 0..n-1, log Z).
+def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """Fused two-label linear-chain CRFs: P(z_t = 0 | x) for every chain and position.
 
-    ``e`` holds the n x 2 emission scores, ``trans[a, b]`` scores a -> b, and
-    ``start``/``end`` score the moves from START and into END. The forward
-    runs the forward-backward recursions in numpy, in log space:
+    ``e`` holds the emission scores, n x ... x 2 with positions first; any
+    axes between positions and labels index independent chains (the heads of
+    the multi-head attention). Per chain, ``trans[..., a, b]`` scores a -> b
+    and ``start``/``end`` (... x 2) score the moves from START and into END.
+    The forward runs the forward-backward recursions in numpy, in log space,
+    for all chains at once:
 
         alpha_0 = start + e_0,  alpha_t[b] = lse_a(alpha_{t-1}[a] + T[a, b]) + e_t[b]
         beta_{n-1} = end,       beta_t[a] = lse_b(T[a, b] + e_{t+1}[b] + beta_{t+1}[b])
         log Z = lse(alpha_{n-1} + end),  P(z_t = y | x) = exp(alpha_t[y] + beta_t[y] - log Z)
 
-    One tape entry instead of ~125. The adjoint is reverse mode through both
+    and returns the label-0 marginals with positions last, ... x n. A single
+    chain is the call without chain axes: n x 2 emissions give n marginals.
+
+    One tape entry for all chains. The adjoint is reverse mode through both
     recursions (Eisner 2016, "Inside-Outside and Forward-Backward Algorithms
-    Are Just Backprop"), so gradients reach all four inputs through the
-    marginals as well as through log Z. It is pinned against the primitive
+    Are Just Backprop"), so gradients reach all four inputs through log Z as
+    well as through alpha and beta. It is pinned against the primitive
     composition in the tests.
     """
-    if e.ndim != 2 or e.shape[0] < 1 or e.shape[1] != 2:
-        raise DimensionError(f"crf_marginals expects n x 2 emissions with n >= 1, got {e.shape}")
-    if trans.shape != (2, 2) or start.shape != (2,) or end.shape != (2,):
+    chains = e.shape[1:-1]
+    if e.ndim < 2 or e.shape[0] < 1 or e.shape[-1] != 2:
+        raise DimensionError(f"crf_marginals expects n x ... x 2 emissions with n >= 1, got {e.shape}")
+    if trans.shape != chains + (2, 2) or start.shape != chains + (2,) or end.shape != chains + (2,):
         raise DimensionError(
-            f"crf_marginals expects trans (2, 2), start (2,), end (2,), got {trans.shape}, {start.shape}, {end.shape}"
+            f"crf_marginals expects trans {chains + (2, 2)}, start and end {chains + (2,)} "
+            f"for emissions {e.shape}, got {trans.shape}, {start.shape}, {end.shape}"
         )
     E, T = e.data, trans.data
     n = E.shape[0]
-    alpha = np.empty((n, 2))
-    beta = np.empty((n, 2))
+    alpha = np.empty(E.shape)
+    beta = np.empty(E.shape)
     alpha[0] = start.data + E[0]
     for t in range(1, n):
-        alpha[t] = np.logaddexp(alpha[t - 1, 0] + T[0], alpha[t - 1, 1] + T[1]) + E[t]
+        moved = np.logaddexp(alpha[t - 1, ..., 0, None] + T[..., 0, :], alpha[t - 1, ..., 1, None] + T[..., 1, :])
+        alpha[t] = moved + E[t]
     beta[-1] = end.data
     for t in range(n - 2, -1, -1):
         ahead = E[t + 1] + beta[t + 1]
-        beta[t] = np.logaddexp(T[:, 0] + ahead[0], T[:, 1] + ahead[1])
+        beta[t] = np.logaddexp(T[..., 0] + ahead[..., 0, None], T[..., 1] + ahead[..., 1, None])
     last = alpha[-1] + end.data
-    log_z = np.array(np.logaddexp(last[0], last[1]))
-    posterior = np.exp(alpha + beta - log_z)
+    log_z = np.logaddexp(last[..., 0], last[..., 1])
+    yes = np.exp(alpha[..., 0] + beta[..., 0] - log_z)  # n x ...
 
-    def backward(grads):
-        g_p0, g_log_z = grads
-        # posterior = exp(alpha + beta - log Z): adjoint of that exponent
-        g_s = np.zeros((n, 2))
-        g_s[:, 0] = g_p0 * posterior[:, 0]
-        # log Z's total adjoint, spread over alpha_{n-1} + end by its lse weights
-        g_last = (g_log_z - g_s.sum()) * _softmax_weights(last, axis=0)
-        g_alpha = g_s.copy()
+    def backward(g):
+        # yes = exp(alpha[.., 0] + beta[.., 0] - log Z): adjoint of that exponent
+        g_s = np.moveaxis(g, -1, 0) * yes
+        # -g_s summed over positions is log Z's adjoint, spread over
+        # alpha_{n-1} + end by its lse weights
+        g_last = -g_s.sum(axis=0)[..., None] * _softmax_weights(last, axis=-1)
+        g_beta = np.zeros(E.shape)
+        g_beta[..., 0] = g_s
+        g_alpha = g_beta.copy()
         g_alpha[-1] += g_last
-        g_beta = g_s
         # lse weights of every step, normalised as softmaxes so that each set
-        # sums to one: fwd[t-1, a, b] = d alpha_t[b] / d alpha_{t-1}[a],
-        # bwd[t, a, b] = d beta_t[a] / d beta_{t+1}[b]
-        fwd = _softmax_weights(alpha[:-1, :, None] + T, axis=1)
-        bwd = _softmax_weights(T + (E[1:] + beta[1:])[:, None, :], axis=2)
+        # sums to one: fwd[t-1, .., a, b] = d alpha_t[b] / d alpha_{t-1}[a],
+        # bwd[t, .., a, b] = d beta_t[a] / d beta_{t+1}[b]
+        fwd = _softmax_weights(alpha[:-1, ..., :, None] + T, axis=-2)
+        bwd = _softmax_weights(T + (E[1:] + beta[1:])[..., None, :], axis=-1)
         for t in range(n - 1):
-            g_beta[t + 1] += g_beta[t] @ bwd[t]
+            g_beta[t + 1] += (g_beta[t][..., None, :] @ bwd[t])[..., 0, :]
         for t in range(n - 1, 0, -1):
-            g_alpha[t - 1] += fwd[t - 1] @ g_alpha[t]
+            g_alpha[t - 1] += (fwd[t - 1] @ g_alpha[t][..., None])[..., 0]
         g_e = g_alpha.copy()
-        g_e[1:] += np.einsum("ta,tab->tb", g_beta[:-1], bwd)
-        g_trans = np.einsum("tab,tb->ab", fwd, g_alpha[1:]) + np.einsum("ta,tab->ab", g_beta[:-1], bwd)
+        g_e[1:] += np.einsum("t...a,t...ab->t...b", g_beta[:-1], bwd)
+        g_trans = np.einsum("t...ab,t...b->...ab", fwd, g_alpha[1:]) + np.einsum("t...a,t...ab->...ab", g_beta[:-1], bwd)
         _accumulate(e, g_e)
         _accumulate(trans, g_trans)
         _accumulate(start, g_alpha[0])
         _accumulate(end, g_last + g_beta[-1])
 
-    return _make_joint((posterior[:, 0].copy(), log_z), (e, trans, start, end), backward, "crf_marginals")
+    return _make(np.ascontiguousarray(np.moveaxis(yes, 0, -1)), (e, trans, start, end), backward, "crf_marginals")
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> Tensor:

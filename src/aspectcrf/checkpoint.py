@@ -158,7 +158,10 @@ def deserialize(blob: bytes) -> Loaded:
         target = named[name]
         if target.shape != dims:
             raise CheckpointError(f"tensor {name!r} shape {dims} != expected {target.shape}")
-        target.data = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
+        values = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
+        target.data = values
         seen.add(name)
     missing = set(named) - seen
     if missing:

@@ -18,20 +18,9 @@ HIDDEN_SIZES = (32, 64)
 BATCH_SIZES = (64, 96)
 DROPOUT_RANGE = (0.3, 0.8)
 ASPECT_DIMS = (50, 70, 90)
-GAMMA_CHOICES = (0, 1, 2, 3)  # 0 is the no-decay ablation, not in the search grid
+GAMMA_CHOICES = (0, 1, 2, 3)  # 0 is the no-decay ablation
 LAYER_CHOICES = (1, 2, 3)
 SELECTION_METRICS = ("accuracy", "macro_f1")
-
-# the hyperparameter search space; gamma 0 deliberately excluded
-DEFAULT_GRID = {
-    "hidden_size": [32, 64],
-    "batch_size": [64, 96],
-    "dropout": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
-    "d_as": [50, 70, 90],
-    "gamma": [1, 2, 3],
-    "gru_layers": [1, 2, 3],
-}
-
 
 # the JSON types each annotated field type accepts; bools are never numbers
 _ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}

@@ -10,10 +10,11 @@ Emissions E come from a per-head linear layer on the decayed representations
 r_t. The partition function and the posterior marginals P(z_t = Yes | x) are
 computed exactly by the forward-backward recursions in log space, fused into
 one tape op (``autodiff.crf_marginals``, which returns the marginals of label
-0, hence YES = 0) whose adjoint reaches both potentials. The marginals weight
-r_t into one pooled vector per head; heads are concatenated in fixed order.
-``log_partition`` keeps the forward recursion as taped primitives, an
-independent path for the gradient identity dlogZ/dE = marginals.
+0, hence YES = 0) whose adjoint reaches both potentials. All heads run as one
+batched call of that op. The marginals weight r_t into one pooled vector per
+head; heads are concatenated in fixed order. ``log_partition`` keeps the
+forward recursion as taped primitives, an independent path for log Z and for
+the gradient identity dlogZ/dE = marginals.
 
 A brute-force enumerator over all 2^n sequences serves as the reference
 implementation for testing; it shares no code with the dynamic program.
@@ -103,44 +104,30 @@ def log_partition(e: Tensor, head: CrfHeadParams) -> Tensor:
     return ad.log_sum_exp(ad.add(alpha[-1], head.end))
 
 
-@dataclass
-class MarginalTable:
-    """Posterior Yes-marginals of one head plus its log-partition."""
+def multi_head(r: Tensor, heads: list[CrfHeadParams]) -> tuple[Tensor, Tensor]:
+    """q = [s_1; ...; s_K] with s_k = sum_t P_k(z_t = Yes | x) r_t, plus the K x n marginals.
 
-    yes: Tensor  # n, P(z_t = Yes | x)
-    log_z: Tensor  # scalar
-
-    def numpy(self) -> np.ndarray:
-        return self.yes.numpy()
-
-
-def marginals(e: Tensor, head: CrfHeadParams) -> MarginalTable:
-    """Exact P(z_t = Yes | x) for every position, differentiable; one tape entry."""
-    yes, log_z = ad.crf_marginals(e, head.trans, head.start, head.end)
-    return MarginalTable(yes=yes, log_z=log_z)
-
-
-def pool_sentence(marginal: MarginalTable, r: Tensor) -> Tensor:
-    """s = sum_t P(z_t = Yes | x) r_t; gradients flow through both factors."""
-    n = r.shape[0]
-    if marginal.yes.shape[0] != n:
-        raise ad.DimensionError("marginal length does not match representation rows")
-    weighted = ad.mul(r, ad.reshape(marginal.yes, (n, 1)))
-    return ad.reduce_sum(weighted, axis=0)
-
-
-def multi_head(r: Tensor, heads: list[CrfHeadParams]) -> tuple[Tensor, list[MarginalTable]]:
-    """q = [s_1; ...; s_a] in fixed head order, plus each head's marginals."""
+    All heads run as one batched CRF: their emission layers are concatenated
+    into one n x 2H @ 2H x 2K product, their potentials are stacked, and one
+    ``crf_marginals`` call covers every head, so the tape length does not
+    depend on K. Heads that share transitions stack the same tensor, which
+    then receives each head's gradient.
+    """
     if not heads:
         raise ValueError("multi_head needs at least one head")
-    tables = []
-    pooled = []
-    for head in heads:
-        table = marginals(emissions(r, head), head)
-        tables.append(table)
-        pooled.append(pool_sentence(table, r))
-    q = pooled[0] if len(pooled) == 1 else ad.concat(pooled)
-    return q, tables
+    n, rep = r.shape
+    k = len(heads)
+    w_emit = ad.concat([head.w_emit for head in heads], axis=1)  # 2H x 2K
+    b_emit = ad.concat([head.b_emit for head in heads])  # 2K
+    e = ad.reshape(ad.add(ad.matmul(r, w_emit), b_emit), (n, k, 2))
+    yes = ad.crf_marginals(
+        e,
+        ad.stack([head.trans for head in heads]),
+        ad.stack([head.start for head in heads]),
+        ad.stack([head.end for head in heads]),
+    )  # K x n
+    q = ad.reshape(ad.matmul(yes, r), (k * rep,))
+    return q, yes
 
 
 def brute_force_oracle(

@@ -206,6 +206,11 @@ def _parse_semeval_xml(path: Path, vocab, grow_vocab, report) -> list[AspectInst
                     f"{path}: aspectTerm in sentence "
                     f"{sentence.attrib.get('id', '?')} missing {exc}"
                 ) from exc
+            except ValueError as exc:
+                raise CorpusFormatError(
+                    f"{path}: aspectTerm in sentence "
+                    f"{sentence.attrib.get('id', '?')} has a non-integer offset: {exc}"
+                ) from exc
             inst = _make_instance(
                 text, start, end, polarity, vocab, grow_vocab, report,
                 f"{path} sentence {sentence.attrib.get('id', '?')}",
@@ -234,6 +239,8 @@ def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
                 polarity = rec["label"]
             except (KeyError, TypeError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno} missing field {exc}") from exc
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}: line {lineno} has a non-integer aspect offset: {exc}") from exc
             report.sentences += 1
             inst = _make_instance(
                 text, start, end, polarity, vocab, grow_vocab, report,
@@ -326,7 +333,8 @@ def load_embeddings(
 ) -> EmbeddingMatrix:
     """Read a text embedding file (token + ``dim`` floats per line).
 
-    Vocabulary rows found in the file are copied bit-for-bit; all others are
+    Vocabulary rows found in the file are copied bit-for-bit and must be
+    finite numbers (only those rows are parsed); all others are
     sampled uniform in [-0.1, 0.1] (padding row zeroed). The random rows are
     drawn in one block before the file is read, so the result is deterministic
     for a given rng regardless of file ordering.
@@ -346,7 +354,13 @@ def load_embeddings(
                     f"{path}: line {lineno} has {len(parts) - 1} values, expected {dim}"
                 )
             if token in vocab:
+                try:
+                    row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise CorpusFormatError(f"{path}: line {lineno} has a non-numeric value: {exc}") from exc
+                if not np.isfinite(row).all():
+                    raise CorpusFormatError(f"{path}: line {lineno} has a non-finite value")
                 tid = vocab.lookup(token)
-                matrix[tid] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                matrix[tid] = row
                 pretrained[tid] = True
     return EmbeddingMatrix(matrix=matrix, pretrained=pretrained)

@@ -127,7 +127,7 @@ def init_params(
 @dataclass
 class ForwardResult:
     logits: Tensor  # 3
-    head_marginals: list[crf.MarginalTable]  # empty under no_structured_attention
+    head_marginals: Tensor | None  # K x n; None under no_structured_attention
 
 
 def forward(
@@ -157,11 +157,10 @@ def forward(
     spec = encoder.DecaySpec(gamma=config.effective_gamma, max_len=max_len)
     r = encoder.apply_decay(h, instance.aspect_start, instance.aspect_end, spec)
     if config.no_structured_attention:
-        q = ad.mean(r, axis=0)
-        tables: list[crf.MarginalTable] = []
+        q, marginals = ad.mean(r, axis=0), None
     else:
-        q, tables = crf.multi_head(r, params.heads)
-    return ForwardResult(logits=clf.logits(q, params.cls), head_marginals=tables)
+        q, marginals = crf.multi_head(r, params.heads)
+    return ForwardResult(logits=clf.logits(q, params.cls), head_marginals=marginals)
 
 
 def instance_loss(
@@ -182,7 +181,8 @@ def predict_instance(
     result = forward(params, instance, config, max_len)
     probs = ad.softmax(result.logits).numpy()
     pred = clf.Prediction(probabilities=probs)
-    pred.head_marginals = [t.numpy() for t in result.head_marginals]
+    marginals = result.head_marginals
+    pred.head_marginals = [] if marginals is None else list(marginals.numpy())
     return pred
 
 

@@ -1,4 +1,4 @@
-"""Mini-batch Adam training with dev-set model selection and grid search.
+"""Mini-batch Adam training with dev-set model selection.
 
 Determinism contract: given (config, corpus), every run consumes one RNG
 stream seeded from config.seed in a fixed order (parameter init, then per
@@ -10,11 +10,10 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, IO
 
 import numpy as np
@@ -170,7 +169,7 @@ def train(
                         instance_loss(params, inst, config, length, train_mode=True, rng=rng)
                         for inst in batch
                     ]
-                    batch_loss = ad.mean(ad.stack_rows(losses))
+                    batch_loss = ad.mean(ad.stack(losses))
                     tape.backward(batch_loss)
             except NonFiniteError as exc:
                 raise TrainingError(
@@ -222,49 +221,3 @@ def train(
         epochs_run=epochs_run,
         clip_events=clip_events,
     )
-
-
-@dataclass
-class LeaderboardRow:
-    config: RunConfig
-    dev_accuracy: float
-    dev_macro_f1: float
-    best_epoch: int
-
-    def sort_key(self):
-        return (-self.dev_accuracy, -self.dev_macro_f1, self.config.hidden_size)
-
-
-@dataclass
-class GridSearchResult:
-    best: LeaderboardRow
-    leaderboard: list[LeaderboardRow] = field(default_factory=list)
-
-
-def grid_search(
-    base: RunConfig,
-    grid: dict[str, list],
-    train_set: list[AspectInstance],
-    dev_set: list[AspectInstance],
-    vocab: Vocabulary,
-    embeddings: EmbeddingMatrix | None = None,
-    max_len: int | None = None,
-) -> GridSearchResult:
-    """Train every grid point; rank by dev accuracy, then dev F1, then smaller H."""
-    if not grid:
-        raise ValueError("grid must name at least one field")
-    fields = sorted(grid)
-    rows = []
-    for combo in itertools.product(*(grid[f] for f in fields)):
-        candidate = base.replace(**dict(zip(fields, combo)))
-        result = train(candidate, train_set, dev_set, vocab, embeddings, max_len)
-        rows.append(
-            LeaderboardRow(
-                config=candidate,
-                dev_accuracy=result.dev_accuracy,
-                dev_macro_f1=result.dev_macro_f1,
-                best_epoch=result.best_epoch,
-            )
-        )
-    rows.sort(key=LeaderboardRow.sort_key)
-    return GridSearchResult(best=rows[0], leaderboard=rows)

@@ -232,11 +232,15 @@ class TestBackward:
         report = grad_check(f, [x, y], tolerance=1e-6)
         assert report.passed, report.failures
 
-    def test_stack_rows_gradients(self):
+    def test_stack_gradients(self):
+        # vectors stack into rows, matrices into a 3-D tensor
         rng = np.random.default_rng(29)
-        rows = [Tensor(rng.normal(size=3), requires_grad=True, name=f"r{i}") for i in range(4)]
-        report = grad_check(lambda: ad.reduce_sum(ad.tanh(ad.stack_rows(rows))), rows, tolerance=1e-6)
-        assert report.passed, report.failures
+        for shape in ((3,), (2, 2)):
+            parts = [Tensor(rng.normal(size=shape), requires_grad=True, name=f"p{i}") for i in range(4)]
+            stacked = ad.stack(parts)
+            npt.assert_array_equal(stacked.numpy(), np.stack([p.data for p in parts]))
+            report = grad_check(lambda: ad.reduce_sum(ad.tanh(ad.stack(parts))), parts, tolerance=1e-6)
+            assert report.passed, report.failures
 
     def test_broadcast_add_unbroadcasts_grad(self):
         m = Tensor(np.ones((3, 4)), requires_grad=True, name="m")

@@ -140,6 +140,13 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="header rejected: vocabulary"):
             deserialize(with_block(blob, 2, b"the\npizza"))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_tensor_data(self, value):
+        # the last eight bytes hold the last entry of the last tensor, cls.b
+        blob = serialize(*make_fixture())
+        with pytest.raises(CheckpointError, match="'cls.b' holds non-finite"):
+            deserialize(blob[:-8] + struct.pack("<d", value))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "absent.acrf")

@@ -106,6 +106,18 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("checkpoint-error:")
 
 
+    def test_eval_non_finite_checkpoint(self, workdir, trained, capsys):
+        # the last eight bytes hold the last entry of the last tensor
+        bad = workdir / "nan.acrf"
+        bad.write_bytes(trained.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+        code = main(["eval", "--ckpt", str(bad), "--test", str(workdir / "test.jsonl")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("checkpoint-error:")
+
+
 class TestExplain:
     def test_marginals_per_head_and_json_record(self, workdir, trained, capsys):
         text = "the pizza was great but service seemed awful ."
@@ -163,6 +175,18 @@ class TestStats:
         assert len(lines) == 3
         counts = [int(v) for v in lines[1].split("\t")[1:4]]
         assert sum(counts) == 36
+
+
+    def test_bad_offset_is_corpus_error(self, workdir, capsys):
+        bad = workdir / "bad_offset.jsonl"
+        bad.write_text(
+            '{"text": "ok pizza", "aspect_char_start": "x", "aspect_char_end": 8, "label": "positive"}\n',
+            encoding="utf-8",
+        )
+        code = main(["stats", str(bad)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("corpus-error:")
 
 
 class TestErrorSurface:

@@ -1,4 +1,4 @@
-"""Tests for run configuration: validation, serialization, grids."""
+"""Tests for run configuration: validation and serialization."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspectcrf.config import DEFAULT_GRID, ConfigError, RunConfig
+from aspectcrf.config import ConfigError, RunConfig
 
 FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
 
@@ -144,14 +144,3 @@ class TestSerialization:
         assert cfg.replace(seed=3).seed == 3
         with pytest.raises(ConfigError):
             cfg.replace(hidden_size=1)
-
-
-class TestGrid:
-    def test_default_grid_within_domains(self):
-        base = RunConfig()
-        for field, values in DEFAULT_GRID.items():
-            for value in values:
-                base.replace(**{field: value})
-
-    def test_grid_excludes_gamma_zero(self):
-        assert 0 not in DEFAULT_GRID["gamma"]

@@ -178,6 +178,17 @@ class TestParseXml:
         with pytest.raises(CorpusFormatError, match="missing"):
             parse_corpus(path)
 
+    def test_non_integer_offset_names_sentence(self, tmp_path):
+        path = tmp_path / "corpus.xml"
+        path.write_text(
+            '<sentences><sentence id="s7"><text>ok food</text>'
+            '<aspectTerms><aspectTerm term="food" polarity="positive" from="four" to="7"/>'
+            "</aspectTerms></sentence></sentences>",
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusFormatError, match="sentence s7 has a non-integer offset"):
+            parse_corpus(path)
+
     def test_unknown_polarity_rejected(self, tmp_path):
         path = tmp_path / "corpus.xml"
         path.write_text(
@@ -219,6 +230,16 @@ class TestParseJsonl:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"text": "ok", "label": "positive"}\n', encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="line 1"):
+            parse_corpus(path)
+
+    def test_non_integer_offset_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"text": "ok pizza", "aspect_char_start": 3, "aspect_char_end": 8, "label": "positive"}\n'
+            '{"text": "ok pizza", "aspect_char_start": "x", "aspect_char_end": 8, "label": "positive"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusFormatError, match="line 2 has a non-integer aspect offset"):
             parse_corpus(path)
 
     def test_unaligned_span_dropped_not_fatal(self, tmp_path):
@@ -341,4 +362,17 @@ class TestLoadEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("tok 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="line 1"):
+            load_embeddings(path, vocab, np.random.default_rng(0), dim=4)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [("pizza abc 0.1 0.2 0.3", "non-numeric"), ("pizza nan 0.1 0.2 0.3", "non-finite"),
+         ("pizza 0.1 -inf 0.2 0.3", "non-finite"), ("pizza 0.1 0.2 1e999 0.3", "non-finite")],
+    )
+    def test_bad_value_names_line(self, tmp_path, line, message):
+        vocab = Vocabulary()
+        vocab.add("pizza")
+        path = tmp_path / "vecs.txt"
+        path.write_text("menu 1 2 3 4\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=f"vecs.txt: line 2 has a {message} value"):
             load_embeddings(path, vocab, np.random.default_rng(0), dim=4)

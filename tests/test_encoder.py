@@ -56,7 +56,7 @@ def taped_gru_direction(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool) -
         c = ad.tanh(ad.add(x[2 * H:], ad.mul(r, hp[2 * H:])))
         h = ad.add(ad.mul(ad.sub(1.0, u), c), ad.mul(u, h))
         states[t] = h
-    return ad.stack_rows(states)
+    return ad.stack(states)
 
 
 def make_layer(d_in, hidden, rng):

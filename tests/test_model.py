@@ -107,11 +107,9 @@ class TestForward:
         params = init_params(cfg, 20, np.random.default_rng(0))
         result = forward(params, instance(), cfg, max_len=10)
         assert result.logits.shape == (3,)
-        assert len(result.head_marginals) == 2
-        for table in result.head_marginals:
-            yes = table.numpy()
-            assert yes.shape == (7,)
-            assert np.all((yes >= 0) & (yes <= 1))
+        yes = result.head_marginals.numpy()
+        assert yes.shape == (2, 7)
+        assert np.all((yes >= 0) & (yes <= 1))
 
     def test_eval_mode_deterministic(self):
         cfg = small_config()
@@ -131,7 +129,8 @@ class TestForward:
         params = init_params(cfg, 20, np.random.default_rng(0))
         result = forward(params, instance(), cfg, max_len=10)
         assert result.logits.shape == (3,)
-        assert result.head_marginals == []
+        assert result.head_marginals is None
+        assert predict_instance(params, instance(), cfg, max_len=10).head_marginals == []
 
     def test_no_decay_equals_gamma_zero(self):
         # same parameters, the two configs must agree exactly
@@ -171,6 +170,9 @@ class TestPredictAndEvaluate:
         pred = predict_instance(params, instance(), cfg, max_len=10)
         assert pred.label in ("positive", "neutral", "negative")
         assert len(pred.head_marginals) == 2
+        npt.assert_array_equal(
+            np.stack(pred.head_marginals), forward(params, instance(), cfg, max_len=10).head_marginals.numpy()
+        )
         npt.assert_allclose(pred.probabilities.sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_evaluate_consistent_with_predictions(self):

@@ -1,4 +1,4 @@
-"""Tests for the optimizer, clipping, the training loop, and grid search."""
+"""Tests for the optimizer, clipping and the training loop."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from aspectcrf.training import (
     adam_step,
     clip_global_norm,
     corpus_max_len,
-    grid_search,
     train,
 )
 
@@ -171,23 +170,3 @@ class TestTrainLoop:
         b = [AspectInstance((2, 3, 4, 5), 0, 0, "neutral", "y")]
         assert corpus_max_len(a, b) == 4
         assert corpus_max_len(a, []) == 2
-
-
-class TestGridSearch:
-    def test_leaderboard_ranking_and_tie_break(self, tiny_corpus):
-        # lr=0 keeps every grid point at the same dev accuracy, so the
-        # smaller hidden size must win the tie
-        train_set, dev_set, vocab = tiny_corpus
-        base = fast_config(lr=0.0, max_epochs=1, seed=0)
-        result = grid_search(
-            base, {"hidden_size": [64, 32]}, train_set, dev_set, vocab
-        )
-        assert len(result.leaderboard) == 2
-        assert result.best.config.hidden_size == 32
-        accs = [row.dev_accuracy for row in result.leaderboard]
-        assert accs == sorted(accs, reverse=True)
-
-    def test_empty_grid_rejected(self, tiny_corpus):
-        train_set, dev_set, vocab = tiny_corpus
-        with pytest.raises(ValueError):
-            grid_search(fast_config(), {}, train_set, dev_set, vocab)
