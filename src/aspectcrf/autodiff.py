@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,9 +24,7 @@ __all__ = [
     "NonFiniteError",
     "Tensor",
     "Tape",
-    "GradCheckReport",
     "add",
-    "sub",
     "neg",
     "mul",
     "matmul",
@@ -36,19 +33,14 @@ __all__ = [
     "concat",
     "stack",
     "reshape",
-    "sigmoid",
-    "tanh",
-    "exp",
     "log",
     "clamp_min",
     "softmax",
-    "log_sum_exp",
     "reduce_sum",
     "mean",
     "gru_sequence",
     "crf_marginals",
     "dropout_mask",
-    "grad_check",
 ]
 
 
@@ -124,31 +116,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # arithmetic sugar; keeps model code readable
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -252,17 +219,6 @@ def add(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), backward, "add")
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward, "sub")
 
 
 def neg(a) -> Tensor:
@@ -382,36 +338,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), backward, "reshape")
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward, "sigmoid")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward, "tanh")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward, "exp")
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.log(a.data)
@@ -444,33 +370,6 @@ def softmax(a, axis: int = -1) -> Tensor:
         _accumulate(a, out_data * (g - dot))
 
     return _make(out_data, (a,), backward, "softmax")
-
-
-def log_sum_exp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(a))) with max-shift; exact for a single element.
-
-    The adjoint is softmax(a) along the reduced axis.
-    """
-    a = as_tensor(a)
-    if a.size == 0:
-        raise DimensionError("log_sum_exp of an empty tensor")
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_keep = m + np.log(s)
-    out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis) if axis is not None else out_keep.reshape(())
-    soft = e / s
-
-    def backward(g):
-        g_keep = np.asarray(g)
-        if not keepdims:
-            if axis is None:
-                g_keep = g_keep.reshape((1,) * a.ndim)
-            else:
-                g_keep = np.expand_dims(g_keep, axis=axis)
-        _accumulate(a, g_keep * soft)
-
-    return _make(out_data, (a,), backward, "log_sum_exp")
 
 
 def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -642,78 +541,3 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
     keep = rng.random(shape) >= p
     return Tensor(keep.astype(np.float64) / (1.0 - p))
-
-
-# Relative errors are reported against this floor so that coordinates whose
-# true gradient is comparable to finite-difference noise do not dominate.
-_REL_FLOOR = 1e-6
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of comparing tape gradients against central differences."""
-
-    max_rel_error: float
-    num_coordinates: int
-    tolerance: float
-    failures: list[tuple[str, int, float, float, float]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    epsilon: float = 1e-5,
-    tolerance: float = 1e-4,
-    max_failures: int = 25,
-) -> GradCheckReport:
-    """Check tape gradients of a deterministic scalar function of ``params``.
-
-    ``f`` must rebuild its computation from the live parameter tensors on
-    every call (dropout disabled, fixed inputs). The analytic gradient comes
-    from one taped run; each coordinate is then perturbed in place for a
-    central finite difference.
-    """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
-
-    for p in params:
-        p.zero_grad()
-    with Tape() as tape:
-        loss = f()
-        if not np.isfinite(loss.data).all():
-            raise NonFiniteError("grad_check aborted: loss is non-finite at the evaluation point")
-        tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    for p in params:
-        p.zero_grad()
-
-    def eval_loss() -> float:
-        value = f().item()
-        if not np.isfinite(value):
-            raise NonFiniteError("grad_check aborted: loss became non-finite during perturbation")
-        return value
-
-    report = GradCheckReport(max_rel_error=0.0, num_coordinates=0, tolerance=tolerance)
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up = eval_loss()
-            flat[i] = orig - epsilon
-            down = eval_loss()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * epsilon)
-            ad = a_flat[i]
-            rel = abs(fd - ad) / max(abs(fd), abs(ad), _REL_FLOOR)
-            report.num_coordinates += 1
-            if rel > report.max_rel_error:
-                report.max_rel_error = rel
-            if rel > tolerance and len(report.failures) < max_failures:
-                report.failures.append((p.name or "<anon>", i, float(ad), float(fd), float(rel)))
-    return report

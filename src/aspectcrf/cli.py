@@ -129,6 +129,8 @@ def cmd_explain(args) -> int:
         char_start, char_end = int(start_s), int(end_s)
     except ValueError as exc:
         raise ConfigError(f"--aspect must be START,END character offsets: {exc}") from exc
+    if not 0 <= char_start < char_end:
+        raise ConfigError(f"--aspect needs 0 <= START < END, got {char_start},{char_end}")
     tokens, spans = tokenize(args.text)
     if not tokens:
         raise CorpusFormatError("text produced no tokens")
@@ -137,6 +139,8 @@ def cmd_explain(args) -> int:
         raise CorpusFormatError(
             f"aspect characters [{char_start}, {char_end}) align with no token"
         )
+    if char_end > len(args.text):
+        raise ConfigError(f"--aspect END {char_end} runs past the {len(args.text)}-character text")
     ids = tuple(loaded.vocab.lookup(t) for t in tokens)
     # label placeholder; prediction ignores it
     instance = AspectInstance(ids, span[0], span[1], "neutral", args.text)
@@ -165,16 +169,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--heads must be a comma list of integers: {exc}") from exc
     if not head_counts:
         raise ConfigError("--heads: empty list")
+    run_cfgs = [cfg.replace(crf_heads=count) for count in head_counts]  # validates every count before training
     print("heads\tdev_accuracy\tdev_macro_f1\ttest_accuracy\ttest_macro_f1")
-    for count in head_counts:
-        run_cfg = cfg.replace(crf_heads=count)
+    for run_cfg in run_cfgs:
         result, test_set, _ = _train_once(run_cfg, None)
         if test_set:
             test_acc, test_f1, _ = evaluate(result.params, test_set, run_cfg, result.max_len)
             tail = f"{100 * test_acc:.2f}\t{100 * test_f1:.2f}"
         else:
             tail = "-\t-"
-        print(f"{count}\t{100 * result.dev_accuracy:.2f}\t{100 * result.dev_macro_f1:.2f}\t{tail}")
+        print(f"{run_cfg.crf_heads}\t{100 * result.dev_accuracy:.2f}\t{100 * result.dev_macro_f1:.2f}\t{tail}")
     return 0
 
 

@@ -20,6 +20,7 @@ DROPOUT_RANGE = (0.3, 0.8)
 ASPECT_DIMS = (50, 70, 90)
 GAMMA_CHOICES = (0, 1, 2, 3)  # 0 is the no-decay ablation
 LAYER_CHOICES = (1, 2, 3)
+MAX_CRF_HEADS = 16
 SELECTION_METRICS = ("accuracy", "macro_f1")
 
 # the JSON types each annotated field type accepts; bools are never numbers
@@ -80,7 +81,7 @@ class RunConfig:
         check(self.d_as in ASPECT_DIMS, "d_as", f"must be one of {ASPECT_DIMS}")
         check(self.gamma in GAMMA_CHOICES, "gamma", f"must be one of {GAMMA_CHOICES}")
         check(self.gru_layers in LAYER_CHOICES, "gru_layers", f"must be one of {LAYER_CHOICES}")
-        check(self.crf_heads >= 1, "crf_heads", "must be >= 1")
+        check(1 <= self.crf_heads <= MAX_CRF_HEADS, "crf_heads", f"must lie in [1, {MAX_CRF_HEADS}]")
         check(self.lr >= 0, "lr", "must be >= 0")
         check(self.max_epochs >= 1, "max_epochs", "must be >= 1")
         check(self.patience >= 1, "patience", "must be >= 1")

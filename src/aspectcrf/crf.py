@@ -12,9 +12,7 @@ computed exactly by the forward-backward recursions in log space, fused into
 one tape op (``autodiff.crf_marginals``, which returns the marginals of label
 0, hence YES = 0) whose adjoint reaches both potentials. All heads run as one
 batched call of that op. The marginals weight r_t into one pooled vector per
-head; heads are concatenated in fixed order. ``log_partition`` keeps the
-forward recursion as taped primitives, an independent path for log Z and for
-the gradient identity dlogZ/dE = marginals.
+head; heads are concatenated in fixed order.
 
 A brute-force enumerator over all 2^n sequences serves as the reference
 implementation for testing; it shares no code with the dynamic program.
@@ -67,41 +65,6 @@ def init_crf_head(rep_dim: int, rng: np.random.Generator, name: str) -> CrfHeadP
 def emissions(r: Tensor, head: CrfHeadParams) -> Tensor:
     """Per-position label scores E (n x 2) from the decayed representations."""
     return ad.add(ad.matmul(r, head.w_emit), head.b_emit)
-
-
-def score_sequence(e: Tensor, head: CrfHeadParams, z) -> Tensor:
-    """Score of one explicit label sequence, boundary transitions included."""
-    z = list(z)
-    n = e.shape[0]
-    if len(z) != n:
-        raise ad.DimensionError(f"label sequence length {len(z)} != {n} positions")
-    if any(label not in (YES, NO) for label in z):
-        raise ValueError(f"labels must be YES/NO, got {z}")
-    total = ad.add(head.start[z[0]], head.end[z[-1]])
-    for t in range(n - 1):
-        total = ad.add(total, head.trans[z[t], z[t + 1]])
-    for t in range(n):
-        total = ad.add(total, e[t, z[t]])
-    return total
-
-
-def _forward_messages(e: Tensor, head: CrfHeadParams) -> list[Tensor]:
-    """alpha_t (length-2 log messages), t = 0..n-1."""
-    n = e.shape[0]
-    alpha = ad.add(head.start, e[0])
-    msgs = [alpha]
-    for t in range(1, n):
-        # alpha_t[b] = lse_a(alpha_{t-1}[a] + T[a,b]) + E[t,b]
-        moved = ad.log_sum_exp(ad.add(ad.reshape(alpha, (2, 1)), head.trans), axis=0)
-        alpha = ad.add(moved, e[t])
-        msgs.append(alpha)
-    return msgs
-
-
-def log_partition(e: Tensor, head: CrfHeadParams) -> Tensor:
-    """log Z: log-sum-exp of score over all 2^n label sequences."""
-    alpha = _forward_messages(e, head)
-    return ad.log_sum_exp(ad.add(alpha[-1], head.end))
 
 
 def multi_head(r: Tensor, heads: list[CrfHeadParams]) -> tuple[Tensor, Tensor]:

@@ -234,13 +234,15 @@ def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
                 ) from exc
             try:
                 text = rec["text"]
-                start = int(rec["aspect_char_start"])
-                end = int(rec["aspect_char_end"])
+                start = rec["aspect_char_start"]
+                end = rec["aspect_char_end"]
                 polarity = rec["label"]
             except (KeyError, TypeError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno} missing field {exc}") from exc
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno} has a non-integer aspect offset: {exc}") from exc
+            for offset in (start, end):
+                # JSON integers only: a float would be truncated and a bool read as 0/1
+                if type(offset) is not int:
+                    raise CorpusFormatError(f"{path}: line {lineno} has a non-integer aspect offset: {offset!r}")
             report.sentences += 1
             inst = _make_instance(
                 text, start, end, polarity, vocab, grow_vocab, report,

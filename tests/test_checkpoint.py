@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectcrf.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     CheckpointError,
+    _Reader,
     build_meta,
     deserialize,
     load_checkpoint,
@@ -152,8 +156,6 @@ class TestRejection:
             load_checkpoint(tmp_path / "absent.acrf")
 
     def test_missing_tensor_detected(self):
-        from aspectcrf.checkpoint import _Reader
-
         params, cfg, vocab, meta = make_fixture()
         blob = serialize(params, cfg, vocab, meta)
         # walk the container to the tensor count, then drop the last tensor
@@ -176,3 +178,66 @@ class TestRejection:
         )
         with pytest.raises(CheckpointError, match="missing"):
             deserialize(doctored)
+
+
+@functools.cache
+def fixture_blob() -> tuple[bytes, int, dict[str, tuple[int, int, tuple[int, ...]]]]:
+    """The serialized fixture, where its tensor records start, and each
+    tensor's data as (start, end, shape) byte offsets."""
+    blob = serialize(*make_fixture())
+    reader = _Reader(blob)
+    reader.take(8)  # magic + version
+    for _ in range(3):  # config, meta, vocab blocks
+        reader.block()
+    tensors_at = reader.pos
+    regions = {}
+    for _ in range(reader.u32()):
+        name = reader.text("tensor name")
+        dims = tuple(reader.u32() for _ in range(reader.u32()))
+        regions[name] = (reader.pos, reader.pos + 8 * int(np.prod(dims)), dims)
+        reader.take(8 * int(np.prod(dims)))
+    return blob, tensors_at, regions
+
+
+@st.composite
+def byte_mutations(draw):
+    """1-4 byte substitutions, half of them in the headers and tensor records
+    before the first tensor's data, where most of the format's checks sit."""
+    blob, tensors_at, regions = fixture_blob()
+    header_end = min(lo for lo, _, _ in regions.values())
+    positions = draw(st.lists(
+        st.one_of(st.integers(0, header_end - 1), st.integers(tensors_at, len(blob) - 1)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    mutated = bytearray(blob)
+    for pos in positions:
+        mutated[pos] ^= draw(st.integers(1, 255))
+    return bytes(mutated)
+
+
+class TestUntrustedBlobs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_blob_raises_checkpoint_error(self, data):
+        blob, _, _ = fixture_blob()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(CheckpointError):
+            deserialize(blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(byte_mutations())
+    def test_mutated_blob_raises_checkpoint_error_or_loads_exactly(self, mutated):
+        # loading is either refused with a CheckpointError or reads every
+        # tensor bit-for-bit from the bytes it holds: unchanged tensors equal
+        # the fixture's, a tensor with a mutated (finite) entry holds that entry
+        _, _, regions = fixture_blob()
+        try:
+            loaded = deserialize(mutated)
+        except CheckpointError:
+            return
+        restored = loaded.params.named_tensors()
+        assert set(restored) == set(regions)
+        for name, (lo, hi, dims) in regions.items():
+            stored = np.frombuffer(mutated[lo:hi], dtype="<f8").reshape(dims)
+            assert restored[name].data.tobytes() == stored.astype(np.float64).tobytes()
+            assert np.isfinite(restored[name].data).all()

@@ -144,6 +144,17 @@ class TestExplain:
         assert code == 1
         assert capsys.readouterr().err.startswith("corpus-error:")
 
+    @pytest.mark.parametrize("aspect", ["5,5", "-5,3", "9,4", "4,100"])
+    def test_aspect_not_a_span(self, workdir, trained, capsys, aspect):
+        # each of these used to resolve to a token of the text
+        code = main(["explain", "--ckpt", str(trained), "--text", "the pizza was great",
+                     f"--aspect={aspect}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config-error:")
+        assert captured.out == ""
+
 
 class TestSweepAndAblate:
     def test_sweep_table(self, workdir, capsys):
@@ -157,6 +168,18 @@ class TestSweepAndAblate:
         code = main(["sweep", "--config", str(workdir / "run.json"), "--heads", "a,b"])
         assert code == 1
         assert capsys.readouterr().err.startswith("config-error:")
+
+    def test_sweep_checks_every_head_count_first(self, workdir, capsys, monkeypatch):
+        def must_not_train(cfg, _):
+            raise AssertionError(f"trained crf_heads={cfg.crf_heads} before checking every count")
+
+        monkeypatch.setattr("aspectcrf.cli._train_once", must_not_train)
+        code = main(["sweep", "--config", str(workdir / "run.json"), "--heads", "1,17"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config-error:") and "crf_heads" in lines[0]
+        assert captured.out == ""
 
     def test_ablate_rows(self, workdir, capsys):
         code = main(["ablate", "--config", str(workdir / "run.json"), "--flag", "decay"])
@@ -187,6 +210,18 @@ class TestStats:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("corpus-error:")
+
+    def test_float_offset_is_corpus_error(self, workdir, capsys):
+        bad = workdir / "float_offset.jsonl"
+        bad.write_text(
+            '{"text": "the pizza was great", "aspect_char_start": 4.9, "aspect_char_end": 9.2, '
+            '"label": "positive"}\n',
+            encoding="utf-8",
+        )
+        code = main(["stats", str(bad)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("corpus-error:") and "line 1" in lines[0]
 
 
 class TestErrorSurface:

@@ -39,6 +39,8 @@ class TestValidation:
             ("gamma", -1),
             ("gru_layers", 0),
             ("crf_heads", 0),
+            ("crf_heads", 17),
+            ("crf_heads", 4096),
             ("lr", -0.1),
             ("max_epochs", 0),
             ("patience", 0),

@@ -19,34 +19,9 @@ from aspectcrf.crf import (
     brute_force_oracle,
     emissions,
     init_crf_head,
-    log_partition,
     multi_head,
-    score_sequence,
 )
-from aspectcrf.crf import _forward_messages
-
-
-def taped_backward_messages(e: Tensor, head: CrfHeadParams) -> list[Tensor]:
-    """beta_t (length-2 log messages), t = 0..n-1; beta_{n-1} = end scores."""
-    n = e.shape[0]
-    beta = head.end
-    msgs = [beta]
-    for t in range(n - 2, -1, -1):
-        # beta_t[a] = lse_b(T[a,b] + E[t+1,b] + beta_{t+1}[b])
-        beta = ad.log_sum_exp(ad.add(head.trans, ad.add(e[t + 1], beta)), axis=1)
-        msgs.append(beta)
-    msgs.reverse()
-    return msgs
-
-
-def taped_marginals(e: Tensor, head: CrfHeadParams) -> Tensor:
-    """Reference Yes-marginals composed from taped primitives, ~125 tape
-    entries per call; the fused ``crf_marginals`` must reproduce it."""
-    alpha = ad.stack(_forward_messages(e, head))  # n x 2
-    beta = ad.stack(taped_backward_messages(e, head))  # n x 2
-    log_z = ad.log_sum_exp(ad.add(alpha[-1], head.end))
-    posterior = ad.exp(ad.sub(ad.add(alpha, beta), log_z))  # n x 2
-    return posterior[:, YES]
+from reference import grad_check, log_partition, score_sequence, taped_marginals
 
 
 def fused_marginals(e: Tensor, head: CrfHeadParams) -> Tensor:
@@ -236,7 +211,7 @@ class TestMarginals:
         head = head_from(trans, start, end)
         et = Tensor(e, requires_grad=True, name="e")
         w = Tensor(rng.normal(size=5))
-        report = ad.grad_check(
+        report = grad_check(
             lambda: ad.reduce_sum(ad.mul(fused_marginals(et, head), w)),
             [et, head.trans, head.start, head.end],
             tolerance=1e-5,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectcrf.data import (
     AspectInstance,
@@ -64,6 +68,21 @@ class TestTokenize:
             covered.update(range(s, e))
         expected = {k for k, ch in enumerate(text) if not ch.isspace()}
         assert covered == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=40))
+    def test_spans_partition_non_space_characters(self, text):
+        # every non-space character lies in exactly one token span, and a
+        # token's own span maps back to that token alone
+        tokens, spans = tokenize(text)
+        owners = [0] * len(text)
+        for s, e in spans:
+            for k in range(s, e):
+                owners[k] += 1
+        assert owners == [0 if ch.isspace() else 1 for ch in text]
+        for k, (tok, (s, e)) in enumerate(zip(tokens, spans)):
+            assert text[s:e].lower() == tok
+            assert char_span_to_token_span(spans, s, e) == (k, k)
 
 
 class TestCharSpanToTokenSpan:
@@ -233,14 +252,18 @@ class TestParseJsonl:
             parse_corpus(path)
 
     def test_non_integer_offset_names_line(self, tmp_path):
+        # floats would be truncated, bools and digit strings read as numbers
         path = tmp_path / "corpus.jsonl"
-        path.write_text(
-            '{"text": "ok pizza", "aspect_char_start": 3, "aspect_char_end": 8, "label": "positive"}\n'
-            '{"text": "ok pizza", "aspect_char_start": "x", "aspect_char_end": 8, "label": "positive"}\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(CorpusFormatError, match="line 2 has a non-integer aspect offset"):
-            parse_corpus(path)
+        for start, end in (('"x"', "8"), ("3.9", "8"), ("3", "8.0"), ("4.9", "9.2"),
+                           ("true", "8"), ("3", '"8"'), ("false", "true"), ("null", "8")):
+            path.write_text(
+                '{"text": "ok pizza", "aspect_char_start": 3, "aspect_char_end": 8, "label": "positive"}\n'
+                f'{{"text": "ok pizza", "aspect_char_start": {start}, "aspect_char_end": {end}, '
+                '"label": "positive"}\n',
+                encoding="utf-8",
+            )
+            with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 2 has a non-integer aspect offset")):
+                parse_corpus(path)
 
     def test_unaligned_span_dropped_not_fatal(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

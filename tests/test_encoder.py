@@ -20,6 +20,7 @@ from aspectcrf.encoder import (
     embed_input,
     init_gru_direction,
 )
+from reference import grad_check, taped_gru_direction
 
 
 def gru_cell_oracle(xp, hp, h):
@@ -41,22 +42,6 @@ def gru_direction_oracle(xp, w_hh, b_hh, reverse):
         h = gru_cell_oracle(xp[t], h @ w_hh + b_hh, h)
         states[t] = h
     return states
-
-
-def taped_gru_direction(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool) -> Tensor:
-    """Reference only: the recurrence as a per-step composition of taped primitives."""
-    n, H = xp.shape[0], w_hh.shape[0]
-    h = Tensor(np.zeros(H))
-    states = [None] * n
-    for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        hp = ad.add(ad.matmul(h, w_hh), b_hh)
-        x = xp[t]
-        r = ad.sigmoid(ad.add(x[:H], hp[:H]))
-        u = ad.sigmoid(ad.add(x[H:2 * H], hp[H:2 * H]))
-        c = ad.tanh(ad.add(x[2 * H:], ad.mul(r, hp[2 * H:])))
-        h = ad.add(ad.mul(ad.sub(1.0, u), c), ad.mul(u, h))
-        states[t] = h
-    return ad.stack(states)
 
 
 def make_layer(d_in, hidden, rng):
@@ -111,7 +96,7 @@ class TestGruSequence:
         for reverse in (False, True):
             xp, w_hh, b_hh = gru_inputs(5, 3, rng)
             w = Tensor(rng.normal(size=(5, 3)))  # fixed weights make the loss non-degenerate
-            report = ad.grad_check(
+            report = grad_check(
                 lambda: ad.reduce_sum(ad.mul(ad.gru_sequence(xp, w_hh, b_hh, reverse), w)),
                 [xp, w_hh, b_hh],
             )
@@ -204,7 +189,7 @@ class TestBiGru:
             layer.forward.w_ih, layer.forward.w_hh, layer.forward.b_ih,
             layer.forward.b_hh, layer.backward.w_ih, x,
         ]
-        report = ad.grad_check(
+        report = grad_check(
             lambda: ad.reduce_sum(ad.mul(bigru_encode(x, [layer]), w)), params
         )
         assert report.passed, report.failures
