@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,19 +26,16 @@ __all__ = [
     "Tensor",
     "Tape",
     "add",
-    "neg",
     "mul",
     "matmul",
     "gather_rows",
-    "index",
     "concat",
     "stack",
     "reshape",
-    "log",
-    "clamp_min",
-    "softmax",
     "reduce_sum",
     "mean",
+    "softmax_weights",
+    "nll",
     "gru_sequence",
     "crf_marginals",
     "dropout_mask",
@@ -116,9 +114,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    def __getitem__(self, key):
-        return index(self, key)
 
 
 def as_tensor(x) -> Tensor:
@@ -221,15 +216,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward, "add")
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), backward, "neg")
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
@@ -284,20 +270,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(out_data, (a,), backward, "gather_rows")
 
 
-def index(a: Tensor, key) -> Tensor:
-    """Basic (slice/int) indexing with scatter-add gradient."""
-    out_data = np.array(a.data[key])
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        full = np.zeros_like(a.data)
-        full[key] += g
-        _accumulate(a, full)
-
-    return _make(out_data, (a,), backward, "index")
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     if not ts:
@@ -338,40 +310,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), backward, "reshape")
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out_data, (a,), backward, "log")
-
-
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    """max(a, lo) elementwise; gradient passes where a >= lo."""
-    out_data = np.maximum(a.data, lo)
-    mask = a.data >= lo
-
-    def backward(g):
-        _accumulate(a, g * mask)
-
-    return _make(out_data, (a,), backward, "clamp_min")
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - dot))
-
-    return _make(out_data, (a,), backward, "softmax")
-
-
 def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -390,6 +328,50 @@ def mean(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
     count = a.size if axis is None else a.shape[axis]
     return mul(reduce_sum(a, axis=axis), 1.0 / count)
+
+
+def softmax_weights(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of a plain array along ``axis``, shifted by the maximum first."""
+    w = np.exp(x - x.max(axis=axis, keepdims=True))
+    return w / w.sum(axis=axis, keepdims=True)
+
+
+# Gold-class probabilities are floored here before the log, so that one
+# saturated row gives a large but finite loss instead of an infinite one.
+PROB_FLOOR = 1e-12
+
+
+def nll(logits: Tensor, gold_ids) -> Tensor:
+    """Mean negative log-likelihood of the gold classes over a B x C batch of logits.
+
+    Row i contributes -log(max(p_i[gold_i], PROB_FLOOR)) with p_i the softmax
+    of the row. A floored row warns and passes no gradient; every other row
+    passes (p_i - onehot_i) / B. One tape entry for the batch. The adjoint
+    takes the same steps as the taped softmax, index, clamp, log and negation
+    it replaces, so values and gradients equal that composition bit for bit.
+    """
+    gold = np.asarray(gold_ids, dtype=np.intp)
+    if logits.ndim != 2 or logits.shape[0] < 1 or gold.shape != logits.shape[:1]:
+        raise DimensionError(
+            f"nll expects B x C logits with B >= 1 and B gold ids, got {logits.shape} and {gold.shape}"
+        )
+    B = logits.shape[0]
+    rows = np.arange(B)
+    p = softmax_weights(logits.data)
+    p_gold = p[rows, gold]
+    kept = p_gold >= PROB_FLOOR
+    for prob in p_gold[~kept]:
+        warnings.warn(f"gold-class probability {float(prob):.3e} floored at {PROB_FLOOR}", stacklevel=2)
+    clamped = np.maximum(p_gold, PROB_FLOOR)
+    out_data = (-np.log(clamped)).sum() * (1.0 / B)
+
+    def backward(g):
+        g_p = (-(g * (1.0 / B)) / clamped) * kept
+        g_rows = np.zeros_like(p)
+        g_rows[rows, gold] = g_p
+        _accumulate(logits, p * (g_rows - (g_p * p_gold)[:, None]))
+
+    return _make(out_data, (logits,), backward, "nll")
 
 
 def gru_sequence(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool = False) -> Tensor:
@@ -453,11 +435,6 @@ def gru_sequence(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool = False) 
     return _make(states, (xp, w_hh, b_hh), backward, "gru_sequence")
 
 
-def _softmax_weights(x: np.ndarray, axis: int) -> np.ndarray:
-    w = np.exp(x - x.max(axis=axis, keepdims=True))
-    return w / w.sum(axis=axis, keepdims=True)
-
-
 def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """Fused two-label linear-chain CRFs: P(z_t = 0 | x) for every chain and position.
 
@@ -510,7 +487,7 @@ def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tenso
         g_s = np.moveaxis(g, -1, 0) * yes
         # -g_s summed over positions is log Z's adjoint, spread over
         # alpha_{n-1} + end by its lse weights
-        g_last = -g_s.sum(axis=0)[..., None] * _softmax_weights(last, axis=-1)
+        g_last = -g_s.sum(axis=0)[..., None] * softmax_weights(last, axis=-1)
         g_beta = np.zeros(E.shape)
         g_beta[..., 0] = g_s
         g_alpha = g_beta.copy()
@@ -518,8 +495,8 @@ def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tenso
         # lse weights of every step, normalised as softmaxes so that each set
         # sums to one: fwd[t-1, .., a, b] = d alpha_t[b] / d alpha_{t-1}[a],
         # bwd[t, .., a, b] = d beta_t[a] / d beta_{t+1}[b]
-        fwd = _softmax_weights(alpha[:-1, ..., :, None] + T, axis=-2)
-        bwd = _softmax_weights(T + (E[1:] + beta[1:])[..., None, :], axis=-1)
+        fwd = softmax_weights(alpha[:-1, ..., :, None] + T, axis=-2)
+        bwd = softmax_weights(T + (E[1:] + beta[1:])[..., None, :], axis=-1)
         for t in range(n - 1):
             g_beta[t + 1] += (g_beta[t][..., None, :] @ bwd[t])[..., 0, :]
         for t in range(n - 1, 0, -1):

@@ -163,6 +163,9 @@ def deserialize(blob: bytes) -> Loaded:
             raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
         target.data = values
         seen.add(name)
+    trailing = len(blob) - reader.pos
+    if trailing:
+        raise CheckpointError(f"checkpoint has {trailing} unexpected bytes after its last tensor")
     missing = set(named) - seen
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import PROB_FLOOR, Tensor  # PROB_FLOOR is re-exported for nll_loss callers
 from .data import LABELS, LABEL_TO_ID
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -43,17 +40,9 @@ class Prediction:
         self.label = LABELS[int(np.argmax(self.probabilities))]
 
 
-def nll_loss(class_logits: Tensor, gold_label: str) -> Tensor:
-    """-log P(gold); the probability is floored at 1e-12 before the log."""
-    gold = LABEL_TO_ID[gold_label]
-    probs = ad.softmax(class_logits)
-    p_gold = probs[gold]
-    if p_gold.data < PROB_FLOOR:
-        warnings.warn(
-            f"gold-class probability {float(p_gold.data):.3e} floored at {PROB_FLOOR}",
-            stacklevel=2,
-        )
-    return ad.neg(ad.log(ad.clamp_min(p_gold, PROB_FLOOR)))
+def nll_loss(batch_logits: Tensor, gold_labels: list[str]) -> Tensor:
+    """Mean -log P(gold) over B x 3 logits; see ``autodiff.nll`` for the floor."""
+    return ad.nll(batch_logits, [LABEL_TO_ID[label] for label in gold_labels])
 
 
 def metrics(predicted: list[str], gold: list[str]) -> tuple[float, float]:

@@ -205,9 +205,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    # every corpus parses before anything prints, so a bad one leaves stdout empty
+    parsed = [(path, *parse_corpus(path, vocab=Vocabulary())) for path in args.paths]
     print("corpus\tpositive\tneutral\tnegative\tdropped_conflict\tdropped_unaligned")
-    for path in args.paths:
-        instances, _, report = parse_corpus(path, vocab=Vocabulary())
+    for path, instances, _, report in parsed:
         counts = label_counts(instances)
         print(
             f"{path}\t{counts['positive']}\t{counts['neutral']}\t{counts['negative']}"

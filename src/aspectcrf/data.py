@@ -183,6 +183,13 @@ def _make_instance(
     return AspectInstance(ids, span[0], span[1], polarity, text)
 
 
+def _xml_offset(value: str) -> int:
+    # int() would also take signs, spaces, underscores and non-ASCII digits
+    if not value.isascii() or not value.isdigit():
+        raise ValueError(f"offsets must be ASCII digits, got {value!r}")
+    return int(value)
+
+
 def _parse_semeval_xml(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
     try:
         root = ET.parse(path).getroot()
@@ -198,8 +205,8 @@ def _parse_semeval_xml(path: Path, vocab, grow_vocab, report) -> list[AspectInst
         text = text_el.text
         for term in sentence.iter("aspectTerm"):
             try:
-                start = int(term.attrib["from"])
-                end = int(term.attrib["to"])
+                start = _xml_offset(term.attrib["from"])
+                end = _xml_offset(term.attrib["to"])
                 polarity = term.attrib["polarity"]
             except KeyError as exc:
                 raise CorpusFormatError(
@@ -240,8 +247,9 @@ def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
             except (KeyError, TypeError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno} missing field {exc}") from exc
             for offset in (start, end):
-                # JSON integers only: a float would be truncated and a bool read as 0/1
-                if type(offset) is not int:
+                # non-negative JSON integers only: a float would be truncated, a
+                # bool read as 0/1 and a negative offset aligned with token 0
+                if type(offset) is not int or offset < 0:
                     raise CorpusFormatError(f"{path}: line {lineno} has a non-integer aspect offset: {offset!r}")
             report.sentences += 1
             inst = _make_instance(

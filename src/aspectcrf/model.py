@@ -163,23 +163,24 @@ def forward(
     return ForwardResult(logits=clf.logits(q, params.cls), head_marginals=marginals)
 
 
-def instance_loss(
+def batch_loss(
     params: ModelParams,
-    instance: AspectInstance,
+    instances: list[AspectInstance],
     config: RunConfig,
     max_len: int,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    result = forward(params, instance, config, max_len, train_mode=train_mode, rng=rng)
-    return clf.nll_loss(result.logits, instance.label)
+    """Mean NLL over the instances, forwarded in order (which fixes the dropout draws)."""
+    logits = [forward(params, inst, config, max_len, train_mode, rng).logits for inst in instances]
+    return clf.nll_loss(ad.stack(logits), [inst.label for inst in instances])
 
 
 def predict_instance(
     params: ModelParams, instance: AspectInstance, config: RunConfig, max_len: int
 ) -> clf.Prediction:
     result = forward(params, instance, config, max_len)
-    probs = ad.softmax(result.logits).numpy()
+    probs = ad.softmax_weights(result.logits.data)
     pred = clf.Prediction(probabilities=probs)
     marginals = result.head_marginals
     pred.head_marginals = [] if marginals is None else list(marginals.numpy())

@@ -22,7 +22,7 @@ from .autodiff import NonFiniteError, Tape
 from . import autodiff as ad
 from .config import RunConfig
 from .data import AspectInstance, EmbeddingMatrix, Vocabulary
-from .model import ModelParams, evaluate, init_params, instance_loss
+from .model import ModelParams, batch_loss, evaluate, init_params
 
 logger = logging.getLogger(__name__)
 
@@ -45,42 +45,35 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(
-    named: dict[str, ad.Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
+def adam_step(named: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update; tensors without a gradient see g = 0."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, tensor in named.items():
         g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def clip_global_norm(named: dict[str, ad.Tensor], max_norm: float = GRAD_CLIP_NORM) -> tuple[float, bool]:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_global_norm(named: dict[str, ad.Tensor]) -> tuple[float, bool]:
+    """Scale all gradients so their joint L2 norm is at most GRAD_CLIP_NORM."""
     total = 0.0
     for t in named.values():
         if t.grad is not None:
             total += float((t.grad * t.grad).sum())
     norm = float(np.sqrt(total))
-    if norm <= max_norm or norm == 0.0:
+    if norm <= GRAD_CLIP_NORM or norm == 0.0:
         return norm, False
-    scale = max_norm / norm
+    scale = GRAD_CLIP_NORM / norm
     for t in named.values():
         if t.grad is not None:
             t.grad *= scale
@@ -165,12 +158,8 @@ def train(
                 t.zero_grad()
             try:
                 with Tape() as tape:
-                    losses = [
-                        instance_loss(params, inst, config, length, train_mode=True, rng=rng)
-                        for inst in batch
-                    ]
-                    batch_loss = ad.mean(ad.stack(losses))
-                    tape.backward(batch_loss)
+                    loss = batch_loss(params, batch, config, length, train_mode=True, rng=rng)
+                    tape.backward(loss)
             except NonFiniteError as exc:
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch}, batch {batch_index}: {exc}"
@@ -183,7 +172,7 @@ def train(
                     norm, GRAD_CLIP_NORM, epoch, batch_index,
                 )
             adam_step(trainable, state, config.lr)
-            loss_sum += batch_loss.item() * len(batch)
+            loss_sum += loss.item() * len(batch)
         train_loss = loss_sum / len(train_set)
         dev_acc, dev_f1, _ = evaluate(params, dev_set, config, length)
         record = {

@@ -2,8 +2,10 @@
 
 Nothing in ``src/`` calls these. They stay independent of the code they check:
 
-- taped primitives (``sub``, ``sigmoid``, ``tanh``, ``exp``, ``log_sum_exp``)
-  built on the tape internals the same way the kept primitives are;
+- taped primitives (``sub``, ``neg``, ``index``, ``sigmoid``, ``tanh``,
+  ``exp``, ``log``, ``clamp_min``, ``softmax``, ``log_sum_exp``) built on the
+  tape internals the same way the kept primitives are;
+- ``taped_nll``, the per-row loss composition the fused ``nll`` must match;
 - ``grad_check``, central finite differences against tape gradients;
 - the CRF's explicit sequence score, its taped forward recursion and
   ``log_partition``, and the taped marginals that ``crf_marginals`` must match;
@@ -19,6 +21,7 @@ import numpy as np
 
 from aspectcrf import autodiff as ad
 from aspectcrf.autodiff import (
+    PROB_FLOOR,
     DimensionError,
     NonFiniteError,
     Tape,
@@ -40,6 +43,29 @@ def sub(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _make(out_data, (a, b), backward, "sub")
+
+
+def neg(a) -> Tensor:
+    a = as_tensor(a)
+
+    def backward(g):
+        _accumulate(a, -g)
+
+    return _make(-a.data, (a,), backward, "neg")
+
+
+def index(a: Tensor, key) -> Tensor:
+    """Basic (slice/int) indexing with scatter-add gradient."""
+    out_data = np.array(a.data[key])
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        full = np.zeros_like(a.data)
+        full[key] += g
+        _accumulate(a, full)
+
+    return _make(out_data, (a,), backward, "index")
 
 
 def sigmoid(a) -> Tensor:
@@ -72,6 +98,40 @@ def exp(a) -> Tensor:
     return _make(out_data, (a,), backward, "exp")
 
 
+def log(a) -> Tensor:
+    a = as_tensor(a)
+    out_data = np.log(a.data)
+
+    def backward(g):
+        _accumulate(a, g / a.data)
+
+    return _make(out_data, (a,), backward, "log")
+
+
+def clamp_min(a: Tensor, lo: float) -> Tensor:
+    """max(a, lo) elementwise; gradient passes where a >= lo."""
+    out_data = np.maximum(a.data, lo)
+    mask = a.data >= lo
+
+    def backward(g):
+        _accumulate(a, g * mask)
+
+    return _make(out_data, (a,), backward, "clamp_min")
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    a = as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        _accumulate(a, out_data * (g - dot))
+
+    return _make(out_data, (a,), backward, "softmax")
+
+
 def log_sum_exp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """log(sum(exp(a))) with max-shift; exact for a single element.
 
@@ -97,6 +157,16 @@ def log_sum_exp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         _accumulate(a, g_keep * soft)
 
     return _make(out_data, (a,), backward, "log_sum_exp")
+
+
+def taped_nll(logits: Tensor, gold_ids) -> Tensor:
+    """Reference mean NLL over B x C logits: per row -log(max(softmax(row)[gold],
+    PROB_FLOOR)) as five taped primitives, then the mean of the stacked rows."""
+    losses = [
+        neg(log(clamp_min(index(softmax(index(logits, i)), gold), PROB_FLOOR)))
+        for i, gold in enumerate(gold_ids)
+    ]
+    return ad.mean(ad.stack(losses))
 
 
 # Relative errors are reported against this floor so that coordinates whose
@@ -182,23 +252,23 @@ def score_sequence(e: Tensor, head: CrfHeadParams, z) -> Tensor:
         raise ad.DimensionError(f"label sequence length {len(z)} != {n} positions")
     if any(label not in (YES, NO) for label in z):
         raise ValueError(f"labels must be YES/NO, got {z}")
-    total = ad.add(head.start[z[0]], head.end[z[-1]])
+    total = ad.add(index(head.start, z[0]), index(head.end, z[-1]))
     for t in range(n - 1):
-        total = ad.add(total, head.trans[z[t], z[t + 1]])
+        total = ad.add(total, index(head.trans, (z[t], z[t + 1])))
     for t in range(n):
-        total = ad.add(total, e[t, z[t]])
+        total = ad.add(total, index(e, (t, z[t])))
     return total
 
 
 def _forward_messages(e: Tensor, head: CrfHeadParams) -> list[Tensor]:
     """alpha_t (length-2 log messages), t = 0..n-1."""
     n = e.shape[0]
-    alpha = ad.add(head.start, e[0])
+    alpha = ad.add(head.start, index(e, 0))
     msgs = [alpha]
     for t in range(1, n):
         # alpha_t[b] = lse_a(alpha_{t-1}[a] + T[a,b]) + E[t,b]
         moved = log_sum_exp(ad.add(ad.reshape(alpha, (2, 1)), head.trans), axis=0)
-        alpha = ad.add(moved, e[t])
+        alpha = ad.add(moved, index(e, t))
         msgs.append(alpha)
     return msgs
 
@@ -216,7 +286,7 @@ def taped_backward_messages(e: Tensor, head: CrfHeadParams) -> list[Tensor]:
     msgs = [beta]
     for t in range(n - 2, -1, -1):
         # beta_t[a] = lse_b(T[a,b] + E[t+1,b] + beta_{t+1}[b])
-        beta = log_sum_exp(ad.add(head.trans, ad.add(e[t + 1], beta)), axis=1)
+        beta = log_sum_exp(ad.add(head.trans, ad.add(index(e, t + 1), beta)), axis=1)
         msgs.append(beta)
     msgs.reverse()
     return msgs
@@ -227,9 +297,9 @@ def taped_marginals(e: Tensor, head: CrfHeadParams) -> Tensor:
     entries per call; the fused ``crf_marginals`` must reproduce it."""
     alpha = ad.stack(_forward_messages(e, head))  # n x 2
     beta = ad.stack(taped_backward_messages(e, head))  # n x 2
-    log_z = log_sum_exp(ad.add(alpha[-1], head.end))
+    log_z = log_sum_exp(ad.add(index(alpha, -1), head.end))
     posterior = exp(sub(ad.add(alpha, beta), log_z))  # n x 2
-    return posterior[:, YES]
+    return index(posterior, (slice(None), YES))
 
 
 def taped_gru_direction(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool) -> Tensor:
@@ -239,10 +309,10 @@ def taped_gru_direction(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool) -
     states = [None] * n
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         hp = ad.add(ad.matmul(h, w_hh), b_hh)
-        x = xp[t]
-        r = sigmoid(ad.add(x[:H], hp[:H]))
-        u = sigmoid(ad.add(x[H:2 * H], hp[H:2 * H]))
-        c = tanh(ad.add(x[2 * H:], ad.mul(r, hp[2 * H:])))
+        x = index(xp, t)
+        r = sigmoid(ad.add(index(x, slice(None, H)), index(hp, slice(None, H))))
+        u = sigmoid(ad.add(index(x, slice(H, 2 * H)), index(hp, slice(H, 2 * H))))
+        c = tanh(ad.add(index(x, slice(2 * H, None)), ad.mul(r, index(hp, slice(2 * H, None)))))
         h = ad.add(ad.mul(sub(1.0, u), c), ad.mul(u, h))
         states[t] = h
     return ad.stack(states)

@@ -34,9 +34,9 @@ from aspectcrf.data import (
 )
 from aspectcrf.model import (
     ModelParams,
+    batch_loss,
     evaluate,
     forward,
-    instance_loss,
     predict_instance,
 )
 from aspectcrf.synthetic import generate_records, write_jsonl
@@ -166,7 +166,7 @@ def test_criterion_3_end_to_end_gradient_check():
     started = time.perf_counter()
     tensors = list(params.named_tensors().values())
     check = grad_check(
-        lambda: instance_loss(params, inst, cfg, max_len=8),
+        lambda: batch_loss(params, [inst], cfg, max_len=8),
         tensors,
         tolerance=1e-4,
     )

@@ -19,7 +19,18 @@ from aspectcrf.autodiff import (
     Tape,
     Tensor,
 )
-from reference import exp, grad_check, log_sum_exp, sigmoid, tanh
+from reference import (
+    clamp_min,
+    exp,
+    grad_check,
+    index,
+    log,
+    log_sum_exp,
+    sigmoid,
+    softmax,
+    taped_nll,
+    tanh,
+)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,15 +91,15 @@ class TestForwardValues:
         npt.assert_allclose(out.numpy(), expected, rtol=1e-12)
 
     def test_softmax_uniform_on_equal_scores(self):
-        out = ad.softmax(Tensor([5.0, 5.0, 5.0, 5.0]))
+        out = softmax(Tensor([5.0, 5.0, 5.0, 5.0]))
         npt.assert_allclose(out.numpy(), np.full(4, 0.25), rtol=0, atol=1e-15)
 
     def test_softmax_shift_invariance_and_normalization(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = rng.normal(size=6)
-            a = ad.softmax(Tensor(x)).numpy()
-            b = ad.softmax(Tensor(x + 123.0)).numpy()
+            a = softmax(Tensor(x)).numpy()
+            b = softmax(Tensor(x + 123.0)).numpy()
             npt.assert_allclose(a, b, rtol=1e-12)
             npt.assert_allclose(a.sum(), 1.0, rtol=1e-12)
             assert (a > 0).all()
@@ -122,7 +133,7 @@ class TestForwardValues:
         npt.assert_array_equal(joined.numpy(), np.concatenate(parts, axis=0))
 
     def test_clamp_min_values(self):
-        out = ad.clamp_min(Tensor([-1.0, 0.5, 2.0]), 0.5)
+        out = clamp_min(Tensor([-1.0, 0.5, 2.0]), 0.5)
         npt.assert_array_equal(out.numpy(), [0.5, 0.5, 2.0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -144,12 +155,12 @@ class TestForwardValues:
         npt.assert_array_equal(ad.mul(Tensor([1e308, 1.0]), Tensor([1.0, 1e308])).numpy(), [1e308, 1e308])
         with pytest.raises(NonFiniteError, match="operation log"):
             with np.errstate(invalid="ignore"):
-                ad.log(Tensor([[1.0, 2.0], [-1.0, 3.0]]))  # one NaN in a 2-D output
+                log(Tensor([[1.0, 2.0], [-1.0, 3.0]]))  # one NaN in a 2-D output
         # finite forward (log of a subnormal is about -737), but d log x / dx = 1/x
         # overflows, so the check on the way into the gradient accumulator fires
         x = Tensor([1e-320, 1.0], requires_grad=True, name="x")
         with Tape() as tape:
-            loss = ad.reduce_sum(ad.log(x))
+            loss = ad.reduce_sum(log(x))
             with pytest.raises(NonFiniteError, match="gradient flowing into x"):
                 with np.errstate(over="ignore"):
                     tape.backward(loss)
@@ -184,7 +195,7 @@ class TestBackward:
 
     @pytest.mark.parametrize(
         "op",
-        [sigmoid, tanh, exp, ad.softmax, lambda t: log_sum_exp(t), lambda t: ad.clamp_min(t, -0.5)],
+        [sigmoid, tanh, exp, softmax, lambda t: log_sum_exp(t), lambda t: clamp_min(t, -0.5)],
         ids=["sigmoid", "tanh", "exp", "softmax", "lse", "clamp_min"],
     )
     def test_elementwise_ops_match_finite_differences(self, op):
@@ -201,7 +212,7 @@ class TestBackward:
         rng = np.random.default_rng(17)
         for _ in range(25):
             x = Tensor(rng.uniform(0.5, 3.0, size=4), requires_grad=True, name="x")
-            report = grad_check(lambda: ad.reduce_sum(ad.log(x)), [x], epsilon=1e-5, tolerance=1e-6)
+            report = grad_check(lambda: ad.reduce_sum(log(x)), [x], epsilon=1e-5, tolerance=1e-6)
             assert report.passed, report.failures
 
     def test_matmul_gradients(self):
@@ -227,7 +238,7 @@ class TestBackward:
 
         def f():
             joined = ad.concat([x, y], axis=0)
-            return ad.reduce_sum(ad.mul(joined[1:5], joined[1:5]))
+            return ad.reduce_sum(ad.mul(index(joined, slice(1, 5)), index(joined, slice(1, 5))))
 
         report = grad_check(f, [x, y], tolerance=1e-6)
         assert report.passed, report.failures
@@ -282,6 +293,61 @@ class TestBackward:
         assert len(tape) == 0
 
 
+class TestNll:
+    """The fused loss against the taped composition it replaced."""
+
+    @staticmethod
+    def batch(rng, size):
+        # every other row at scale 40, where a random gold class is often
+        # below PROB_FLOOR, so the floored branch is exercised
+        scale = np.where(np.arange(size) % 2 == 1, 40.0, 2.0)[:, None]
+        return rng.normal(size=(size, 3)) * scale, rng.integers(0, 3, size=size)
+
+    @pytest.mark.filterwarnings("ignore:gold-class probability")
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 96])
+    def test_equals_taped_composition(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            data, gold = self.batch(rng, size)
+            results = []
+            for loss_fn in (ad.nll, taped_nll):
+                logits = Tensor(data, requires_grad=True, name="logits")
+                with Tape() as tape:
+                    loss = loss_fn(logits, gold)
+                    # an upstream gradient other than 1 pins the order of the 1/B scaling
+                    tape.backward(ad.mul(loss, 0.37))
+                results.append((loss.item(), logits.grad))
+            (fused, g_fused), (taped, g_taped) = results
+            assert fused == taped
+            npt.assert_array_equal(g_fused, g_taped)
+        if size >= 64:
+            p_gold = ad.softmax_weights(data)[np.arange(size), gold]
+            assert (p_gold < ad.PROB_FLOOR).any() and (p_gold >= ad.PROB_FLOOR).any()
+
+    @pytest.mark.parametrize("size", [1, 96])
+    def test_one_tape_entry_at_any_batch_size(self, size):
+        logits = Tensor(np.zeros((size, 3)), requires_grad=True)
+        with Tape() as tape:
+            ad.nll(logits, np.zeros(size, dtype=int))
+        assert len(tape) == 1
+
+    def test_floored_row_passes_no_gradient_and_warns_once(self):
+        logits = Tensor(np.array([[60.0, -60.0, 0.0], [0.5, -1.0, 2.0]]), requires_grad=True)
+        with pytest.warns(UserWarning, match="floored") as caught:
+            with Tape() as tape:
+                tape.backward(ad.nll(logits, [1, 2]))
+        assert len(caught) == 1
+        npt.assert_array_equal(logits.grad[0], np.zeros(3))
+        p = ad.softmax_weights(logits.data[1])
+        npt.assert_allclose(logits.grad[1], (p - np.array([0.0, 0.0, 1.0])) / 2, rtol=0, atol=1e-15)
+
+    def test_rejects_non_batch_logits(self):
+        with pytest.raises(DimensionError):
+            ad.nll(Tensor(np.zeros(3)), [0])
+        with pytest.raises(DimensionError):
+            ad.nll(Tensor(np.zeros((0, 3))), [])
+
+
 class TestGradCheckHarness:
     def test_epsilon_range_enforced(self):
         x = Tensor([1.0], requires_grad=True)
@@ -294,7 +360,7 @@ class TestGradCheckHarness:
         x = Tensor([1.0, 1.0], requires_grad=True, name="x")
 
         def f():
-            first = x[0]
+            first = index(x, 0)
             return ad.add(ad.reduce_sum(ad.mul(first, first)), ad.reduce_sum(ad.mul(x, Tensor([0.0, 1.0]))))
 
         # analytic: [2, 1]; fd agrees, so this passes

@@ -111,6 +111,12 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="truncated"):
             deserialize(blob[: len(blob) // 2])
 
+    @pytest.mark.parametrize("extra", [b"\x00", b"garbage"], ids=["one-byte", "garbage"])
+    def test_trailing_bytes(self, extra):
+        blob = serialize(*make_fixture())
+        with pytest.raises(CheckpointError, match=f"{len(extra)} unexpected bytes after its last tensor"):
+            deserialize(blob + extra)
+
     def test_vocab_hash_mismatch_names_both_hashes(self):
         params, cfg, vocab, meta = make_fixture()
         meta = dict(meta, vocab_sha256="0" * 64)

@@ -35,23 +35,23 @@ class TestLogitsAndPrediction:
 class TestNllLoss:
     def test_uniform_logits_loss_is_ln3(self):
         for label in ("positive", "neutral", "negative"):
-            loss = nll_loss(Tensor(np.zeros(3)), label)
+            loss = nll_loss(ad.stack([Tensor(np.zeros(3))]), [label])
             npt.assert_allclose(loss.item(), np.log(3.0), rtol=0, atol=1e-12)
 
     def test_confident_correct_loss_near_zero(self):
-        loss = nll_loss(Tensor(np.array([20.0, 0.0, 0.0])), "positive")
+        loss = nll_loss(ad.stack([Tensor(np.array([20.0, 0.0, 0.0]))]), ["positive"])
         assert loss.item() < 1e-8
 
     def test_floor_applies_and_warns(self):
         with pytest.warns(UserWarning, match="floored"):
-            loss = nll_loss(Tensor(np.array([60.0, -60.0, 0.0])), "neutral")
+            loss = nll_loss(ad.stack([Tensor(np.array([60.0, -60.0, 0.0]))]), ["neutral"])
         npt.assert_allclose(loss.item(), -np.log(PROB_FLOOR), rtol=0, atol=1e-6)
 
     def test_gradient_is_softmax_minus_onehot(self):
         # closed form for cross entropy through softmax
         z = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True, name="z")
         with Tape() as tape:
-            tape.backward(nll_loss(z, "negative"))
+            tape.backward(nll_loss(ad.stack([z]), ["negative"]))
         p = np.exp(z.data) / np.exp(z.data).sum()
         expected = p - np.array([0.0, 0.0, 1.0])
         npt.assert_allclose(z.grad, expected, rtol=0, atol=1e-12)

@@ -220,8 +220,23 @@ class TestStats:
         )
         code = main(["stats", str(bad)])
         assert code == 1
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("corpus-error:") and "line 1" in lines[0]
+
+    def test_bad_corpus_after_good_prints_nothing(self, workdir, capsys):
+        bad = workdir / "negative_offset.jsonl"
+        bad.write_text(
+            '{"text": "ok pizza", "aspect_char_start": -5, "aspect_char_end": 8, "label": "positive"}\n',
+            encoding="utf-8",
+        )
+        code = main(["stats", str(workdir / "train.jsonl"), str(bad)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("corpus-error:")
 
 
 class TestErrorSurface:

@@ -198,15 +198,18 @@ class TestParseXml:
             parse_corpus(path)
 
     def test_non_integer_offset_names_sentence(self, tmp_path):
+        # int() alone would take an Arabic-Indic digit, underscores, spaces and signs
         path = tmp_path / "corpus.xml"
-        path.write_text(
-            '<sentences><sentence id="s7"><text>ok food</text>'
-            '<aspectTerms><aspectTerm term="food" polarity="positive" from="four" to="7"/>'
-            "</aspectTerms></sentence></sentences>",
-            encoding="utf-8",
-        )
-        with pytest.raises(CorpusFormatError, match="sentence s7 has a non-integer offset"):
-            parse_corpus(path)
+        for bad in ("four", "\u0664", "1_1", " 4 ", "+4", "-3", ""):
+            for start, end in ((bad, "7"), ("3", bad)):
+                path.write_text(
+                    '<sentences><sentence id="s7"><text>ok food</text>'
+                    f'<aspectTerms><aspectTerm term="food" polarity="positive" from="{start}" to="{end}"/>'
+                    "</aspectTerms></sentence></sentences>",
+                    encoding="utf-8",
+                )
+                with pytest.raises(CorpusFormatError, match="sentence s7 has a non-integer offset"):
+                    parse_corpus(path)
 
     def test_unknown_polarity_rejected(self, tmp_path):
         path = tmp_path / "corpus.xml"
@@ -252,10 +255,12 @@ class TestParseJsonl:
             parse_corpus(path)
 
     def test_non_integer_offset_names_line(self, tmp_path):
-        # floats would be truncated, bools and digit strings read as numbers
+        # floats would be truncated, bools and digit strings read as numbers,
+        # and negative offsets aligned with token 0
         path = tmp_path / "corpus.jsonl"
         for start, end in (('"x"', "8"), ("3.9", "8"), ("3", "8.0"), ("4.9", "9.2"),
-                           ("true", "8"), ("3", '"8"'), ("false", "true"), ("null", "8")):
+                           ("true", "8"), ("3", '"8"'), ("false", "true"), ("null", "8"),
+                           ("-5", "8"), ("3", "-1")):
             path.write_text(
                 '{"text": "ok pizza", "aspect_char_start": 3, "aspect_char_end": 8, "label": "positive"}\n'
                 f'{{"text": "ok pizza", "aspect_char_start": {start}, "aspect_char_end": {end}, '

@@ -12,13 +12,14 @@ from aspectcrf.config import RunConfig
 from aspectcrf.data import AspectInstance, EmbeddingMatrix
 from aspectcrf.model import (
     ModelParams,
+    batch_loss,
     evaluate,
     forward,
     init_params,
-    instance_loss,
     predict_instance,
     q_dim,
 )
+from reference import softmax
 
 SMALL = dict(hidden_size=32, batch_size=64, dropout=0.3, d_as=50, gamma=1,
              crf_heads=2, embedding_dim=8)
@@ -146,7 +147,7 @@ class TestForward:
         cfg = small_config()
         params = init_params(cfg, 20, np.random.default_rng(0))
         with Tape() as tape:
-            loss = instance_loss(params, instance(), cfg, max_len=10)
+            loss = batch_loss(params, [instance()], cfg, max_len=10)
             tape.backward(loss)
         assert loss.item() > 0
         assert params.embedding.grad is not None
@@ -174,6 +175,7 @@ class TestPredictAndEvaluate:
             np.stack(pred.head_marginals), forward(params, instance(), cfg, max_len=10).head_marginals.numpy()
         )
         npt.assert_allclose(pred.probabilities.sum(), 1.0, rtol=0, atol=1e-12)
+        npt.assert_array_equal(pred.probabilities, softmax(forward(params, instance(), cfg, max_len=10).logits).numpy())
 
     def test_evaluate_consistent_with_predictions(self):
         cfg = small_config()

@@ -78,7 +78,7 @@ class TestClipping:
     def test_norm_below_threshold_untouched(self):
         t = Tensor(np.zeros(3), requires_grad=True, name="t")
         t.grad = np.array([3.0, 0.0, 4.0])  # norm 5 is the boundary
-        norm, clipped = clip_global_norm({"t": t}, max_norm=5.0)
+        norm, clipped = clip_global_norm({"t": t})
         assert norm == 5.0 and not clipped
         npt.assert_array_equal(t.grad, [3.0, 0.0, 4.0])
 
@@ -86,7 +86,7 @@ class TestClipping:
         a = Tensor(np.zeros(1), requires_grad=True, name="a")
         b = Tensor(np.zeros(1), requires_grad=True, name="b")
         a.grad, b.grad = np.array([6.0]), np.array([8.0])  # joint norm 10
-        norm, clipped = clip_global_norm({"a": a, "b": b}, max_norm=5.0)
+        norm, clipped = clip_global_norm({"a": a, "b": b})
         assert clipped and norm == 10.0
         npt.assert_allclose(a.grad, [3.0], rtol=0, atol=1e-15)
         npt.assert_allclose(b.grad, [4.0], rtol=0, atol=1e-15)
@@ -161,7 +161,7 @@ class TestTrainLoop:
         def poisoned(*args, **kwargs):
             return exp(Tensor(np.array(1e6)))
 
-        monkeypatch.setattr("aspectcrf.training.instance_loss", poisoned)
+        monkeypatch.setattr("aspectcrf.training.batch_loss", poisoned)
         with pytest.raises(TrainingError, match="non-finite"):
             train(fast_config(), train_set, dev_set, vocab)
 
