@@ -254,7 +254,14 @@ def matmul(a, b) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; gradient scatter-adds back."""
+    """Select rows of a 2-D tensor; the gradient scatter-adds into the touched rows only.
+
+    The adjoint sums the incoming rows that share an id in position order,
+    then adds each sum into its row of ``a.grad``, which it allocates only
+    when it is still None. Every touched row so receives the same sum a dense
+    |V| x d scatter would give, and the other rows are left alone instead of
+    having zeros added to them.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     if a.ndim != 2:
         raise DimensionError(f"gather_rows needs a 2-D tensor, got {a.shape}")
@@ -263,9 +270,15 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accumulate(a, full)
+        # the modulo folds negative ids onto the rows they selected
+        ids, slot = np.unique(idx.reshape(-1) % a.shape[0], return_inverse=True)
+        rows = np.zeros((ids.size, a.shape[1]))
+        np.add.at(rows, slot, g.reshape(-1, a.shape[1]))
+        if not _all_finite(rows):
+            raise NonFiniteError(f"non-finite gradient flowing into {a.name or '<anon>'}")
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[ids] += rows
 
     return _make(out_data, (a,), backward, "gather_rows")
 

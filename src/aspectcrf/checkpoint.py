@@ -135,6 +135,10 @@ def deserialize(blob: bytes) -> Loaded:
     max_len, mask_text = meta.get("max_sentence_len"), meta.get("pretrained_mask", "")
     if type(max_len) is not int or max_len < 1 or not isinstance(mask_text, str):
         raise CheckpointError("checkpoint meta needs a positive int max_sentence_len and a string pretrained_mask")
+    if len(mask_text) != len(vocab) or not set(mask_text) <= {"0", "1"}:
+        raise CheckpointError(
+            f"checkpoint meta pretrained_mask must be {len(vocab)} characters of 0 and 1, one per vocabulary entry"
+        )
     stored_hash = meta.get("vocab_sha256", "")
     if vocab.content_hash() != stored_hash:
         raise CheckpointError(
@@ -153,6 +157,8 @@ def deserialize(blob: bytes) -> Loaded:
         dims = tuple(reader.u32() for _ in range(ndim))
         size = int(np.prod(dims)) if dims else 1
         raw = reader.take(8 * size)
+        if name in seen:
+            raise CheckpointError(f"checkpoint lists tensor {name!r} twice")
         if name not in named:
             raise CheckpointError(f"checkpoint tensor {name!r} has no slot in this config")
         target = named[name]

@@ -264,7 +264,7 @@ _ERROR_CATEGORIES = [
     (CorpusFormatError, "corpus-error"),
     (CheckpointError, "checkpoint-error"),
     (TrainingError, "training-error"),
-    (FileNotFoundError, "path-error"),
+    (OSError, "path-error"),  # missing files, directories, paths under a regular file
 ]
 
 

@@ -136,4 +136,8 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        return cls.from_json(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8 text ({exc.reason})") from exc
+        return cls.from_json(text)

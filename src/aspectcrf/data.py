@@ -227,10 +227,19 @@ def _parse_semeval_xml(path: Path, vocab, grow_vocab, report) -> list[AspectInst
     return instances
 
 
+def _utf8_lines(fh, path: Path):
+    """Number the lines of a text file opened as UTF-8; bytes that do not decode are a CorpusFormatError."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # the error's byte position counts from the reader's buffer, not the file
+        raise CorpusFormatError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+
+
 def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
     instances = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _utf8_lines(fh, path):
             if not line.strip():
                 continue
             try:
@@ -354,7 +363,7 @@ def load_embeddings(
     matrix[vocab.pad_id] = 0.0
     pretrained = np.zeros(len(vocab), dtype=bool)
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _utf8_lines(fh, path):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
                 continue

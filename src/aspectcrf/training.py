@@ -46,7 +46,12 @@ class AdamState:
 
 
 def adam_step(named: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update; tensors without a gradient see g = 0."""
+    """One bias-corrected Adam update; tensors without a gradient see g = 0.
+
+    Per tensor this is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    data -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order
+    into two scratch arrays, so no other full-size temporary is made.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -55,13 +60,20 @@ def adam_step(named: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
         g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         m = state.m[name]
         v = state.v[name]
+        step = g * (1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += step
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        step *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += step
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bc1, out=step)
+        step *= lr
+        step /= denom
+        tensor.data -= step
 
 
 def clip_global_norm(named: dict[str, ad.Tensor]) -> tuple[float, bool]:

@@ -6,6 +6,9 @@ Nothing in ``src/`` calls these. They stay independent of the code they check:
   ``exp``, ``log``, ``clamp_min``, ``softmax``, ``log_sum_exp``) built on the
   tape internals the same way the kept primitives are;
 - ``taped_nll``, the per-row loss composition the fused ``nll`` must match;
+- ``dense_gather_rows``, the dense |V| x d scatter that ``gather_rows``'
+  row-sparse adjoint must match, and ``dense_adam_step``, the temporary-heavy
+  Adam update that ``adam_step`` must match;
 - ``grad_check``, central finite differences against tape gradients;
 - the CRF's explicit sequence score, its taped forward recursion and
   ``log_partition``, and the taped marginals that ``crf_marginals`` must match;
@@ -32,6 +35,7 @@ from aspectcrf.autodiff import (
     as_tensor,
 )
 from aspectcrf.crf import NO, YES, CrfHeadParams
+from aspectcrf.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
 
 def sub(a, b) -> Tensor:
@@ -167,6 +171,42 @@ def taped_nll(logits: Tensor, gold_ids) -> Tensor:
         for i, gold in enumerate(gold_ids)
     ]
     return ad.mean(ad.stack(losses))
+
+
+def dense_gather_rows(a: Tensor, indices) -> Tensor:
+    """Select rows of a 2-D tensor; gradient scatter-adds back."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if a.ndim != 2:
+        raise DimensionError(f"gather_rows needs a 2-D tensor, got {a.shape}")
+    out_data = a.data[idx]
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        _accumulate(a, full)
+
+    return _make(out_data, (a,), backward, "gather_rows")
+
+
+def dense_adam_step(named: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update; tensors without a gradient see g = 0."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name, tensor in named.items():
+        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # Relative errors are reported against this floor so that coordinates whose

@@ -21,6 +21,7 @@ from aspectcrf.autodiff import (
 )
 from reference import (
     clamp_min,
+    dense_gather_rows,
     exp,
     grad_check,
     index,
@@ -291,6 +292,77 @@ class TestBackward:
         with Tape() as tape:
             pass
         assert len(tape) == 0
+
+
+class TestSparseGatherRows:
+    """The row-sparse adjoint against the dense |V| x d scatter it replaced."""
+
+    @staticmethod
+    def table_grads(gather, table_data, calls, weights, dense=None):
+        """Gradients of sum_k <weights[k], gather(table, calls[k])>, plus an
+        optional <dense[1], table @ dense[0]> term recorded between the gathers."""
+        table = Tensor(table_data, requires_grad=True, name="table")
+        with Tape() as tape:
+            terms = []
+            for k, (ids, w) in enumerate(zip(calls, weights)):
+                if dense is not None and k == len(calls) // 2:
+                    terms.append(ad.reduce_sum(ad.mul(ad.matmul(table, Tensor(dense[0])), dense[1])))
+                terms.append(ad.reduce_sum(ad.mul(gather(table, ids), w)))
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+            tape.backward(loss)
+        return table.grad
+
+    def assert_matches_dense(self, table_data, calls, weights, dense=None):
+        sparse = self.table_grads(ad.gather_rows, table_data, calls, weights, dense)
+        reference = self.table_grads(dense_gather_rows, table_data, calls, weights, dense)
+        npt.assert_array_equal(sparse, reference)
+
+    def test_repeated_ids_in_one_call(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            # negative ids select the same rows as their positive aliases
+            ids = rng.integers(-9, 9, size=12)
+            ids[:2] = -1, 8
+            self.assert_matches_dense(rng.normal(size=(9, 4)), [ids], [rng.normal(size=(12, 4))])
+
+    def test_many_calls_on_one_table(self):
+        # one gather per instance of a 64-instance batch, ids shared across calls
+        rng = np.random.default_rng(37)
+        lengths = rng.integers(1, 20, size=64)
+        calls = [rng.integers(0, 40, size=n) for n in lengths]
+        weights = [rng.normal(size=(n, 6)) * rng.uniform(1e-3, 1e3) for n in lengths]
+        self.assert_matches_dense(rng.normal(size=(50, 6)), calls, weights)
+
+    def test_table_with_a_dense_gradient_in_the_same_tape(self):
+        rng = np.random.default_rng(41)
+        calls = [rng.integers(0, 8, size=n) for n in (5, 9, 3, 7)]
+        weights = [rng.normal(size=(len(ids), 3)) for ids in calls]
+        dense = (rng.normal(size=(3, 2)), rng.normal(size=(10, 2)))
+        self.assert_matches_dense(rng.normal(size=(10, 3)), calls, weights, dense)
+
+    def test_non_finite_row_gradient_names_the_table(self):
+        table = Tensor(np.ones((4, 2)), requires_grad=True, name="table")
+        with Tape() as tape:
+            picked = ad.gather_rows(table, [1, 1, 2])
+        (_, adjoint), = tape._entries
+        g = np.ones(picked.shape)
+        g[2, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="table"):
+            adjoint(g)
+        # finite rows whose sum overflows are caught as the dense table caught them
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="table"):
+            adjoint(np.full(picked.shape, 1e308))
+        assert table.grad is None
+
+    def test_frozen_table_gets_no_gradient(self):
+        table = Tensor(np.ones((4, 2)), name="table")
+        w = Tensor(np.full((3, 2), 0.5), requires_grad=True, name="w")
+        with Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.mul(ad.gather_rows(table, [0, 3, 0]), w)))
+        assert table.grad is None
+        npt.assert_array_equal(w.grad, np.ones((3, 2)))
 
 
 class TestNll:

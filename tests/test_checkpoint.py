@@ -157,6 +157,35 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="'cls.b' holds non-finite"):
             deserialize(blob[:-8] + struct.pack("<d", value))
 
+    @pytest.mark.parametrize(
+        "mask",
+        ["000000", "00000000", "", "0010T00", "001 100", "00\u06610000"],
+        ids=["short", "long", "empty", "letter", "space", "arabic-indic-one"],
+    )
+    def test_pretrained_mask_one_binary_digit_per_token(self, mask):
+        params, cfg, vocab, meta = make_fixture()
+        assert len(vocab) == 7
+        with pytest.raises(CheckpointError, match="pretrained_mask must be 7 characters of 0 and 1"):
+            deserialize(serialize(params, cfg, vocab, dict(meta, pretrained_mask=mask)))
+
+    def test_tensor_listed_twice(self):
+        blob = serialize(*make_fixture())
+        # repeat the first tensor's record and count it
+        reader = _Reader(blob)
+        reader.take(8)  # magic + version
+        for _ in range(3):  # config, meta, vocab blocks
+            reader.block()
+        count_at = reader.pos
+        count = reader.u32()
+        first_at = reader.pos
+        name = reader.block().decode("utf-8")
+        dims = tuple(reader.u32() for _ in range(reader.u32()))
+        reader.take(8 * int(np.prod(dims)))
+        record = blob[first_at : reader.pos]
+        doctored = blob[:count_at] + struct.pack("<I", count + 1) + record + blob[first_at:]
+        with pytest.raises(CheckpointError, match=f"lists tensor '{name}' twice"):
+            deserialize(doctored)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "absent.acrf")

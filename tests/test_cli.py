@@ -40,6 +40,17 @@ def workdir(tmp_path_factory):
     return root
 
 
+# a Latin-1 e-acute: one byte that is not valid UTF-8 on its own
+LATIN1 = "caf\u00e9".encode("latin-1")
+
+
+def assert_one_error_line(capsys, category):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{category}:"), captured.err
+
+
 @pytest.fixture(scope="module")
 def trained(workdir):
     ckpt = workdir / "model.acrf"
@@ -118,6 +129,17 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("checkpoint-error:")
 
 
+    def test_checkpoint_directory_is_path_error(self, workdir, tmp_path, capsys):
+        code = main(["eval", "--ckpt", str(tmp_path), "--test", str(workdir / "test.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+
+    def test_test_corpus_under_a_regular_file_is_path_error(self, workdir, trained, capsys):
+        code = main(["eval", "--ckpt", str(trained), "--test", str(workdir / "test.jsonl" / "x.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+
+
 class TestExplain:
     def test_marginals_per_head_and_json_record(self, workdir, trained, capsys):
         text = "the pizza was great but service seemed awful ."
@@ -132,6 +154,11 @@ class TestExplain:
         assert len(record["per_head_marginals"][0]) == len(record["tokens"])
         assert record["predicted"] in ("positive", "neutral", "negative")
         assert "predicted:" in out
+
+    def test_checkpoint_directory_is_path_error(self, tmp_path, capsys):
+        code = main(["explain", "--ckpt", str(tmp_path), "--text", "ok food", "--aspect", "3,7"])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
 
     def test_bad_aspect_argument(self, workdir, trained, capsys):
         code = main(["explain", "--ckpt", str(trained), "--text", "ok", "--aspect", "x"])
@@ -239,6 +266,26 @@ class TestStats:
         assert len(lines) == 1 and lines[0].startswith("corpus-error:")
 
 
+    def test_non_utf8_corpus_is_corpus_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(
+            b'{"text": "' + LATIN1 + b' ok", "aspect_char_start": 0, "aspect_char_end": 4, "label": "positive"}\n'
+        )
+        code = main(["stats", str(bad)])
+        assert code == 1
+        assert_one_error_line(capsys, "corpus-error")
+
+    def test_directory_is_path_error(self, tmp_path, capsys):
+        code = main(["stats", str(tmp_path)])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+
+    def test_path_under_a_regular_file_is_path_error(self, workdir, capsys):
+        code = main(["stats", str(workdir / "train.jsonl" / "x.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+
+
 class TestErrorSurface:
     def test_missing_config_file(self, workdir, capsys):
         code = main(["train", "--config", str(workdir / "none.json"), "--out",
@@ -263,3 +310,34 @@ class TestErrorSurface:
         code = main(["train", "--config", str(cfg), "--out", str(workdir / "x.acrf")])
         assert code == 1
         assert capsys.readouterr().err.startswith("corpus-error:")
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"train_path": "' + LATIN1 + b'.jsonl"}')
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "x.acrf")])
+        assert code == 1
+        assert_one_error_line(capsys, "config-error")
+
+    def test_non_utf8_vector_file_is_corpus_error(self, workdir, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(LATIN1 + b" " + b" ".join([b"0.5"] * CONFIG["embedding_dim"]) + b"\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps({**CONFIG, "train_path": str(workdir / "train.jsonl"), "embeddings_path": str(vectors)}),
+            encoding="utf-8",
+        )
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.acrf")])
+        assert code == 1
+        assert_one_error_line(capsys, "corpus-error")
+
+    def test_config_directory_is_path_error(self, tmp_path, capsys):
+        code = main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "x.acrf")])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+
+    def test_log_under_a_regular_file_is_path_error(self, workdir, tmp_path, capsys):
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(tmp_path / "x.acrf"),
+                     "--log", str(workdir / "train.jsonl" / "x.log.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+        assert not (tmp_path / "x.acrf").exists()

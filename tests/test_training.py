@@ -22,7 +22,7 @@ from aspectcrf.training import (
     corpus_max_len,
     train,
 )
-from reference import exp
+from reference import dense_adam_step, exp
 
 FAST = dict(hidden_size=32, batch_size=64, dropout=0.3, d_as=50, gamma=1,
             crf_heads=1, embedding_dim=8, max_epochs=2, patience=1)
@@ -72,6 +72,32 @@ class TestAdam:
         t = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="t")
         adam_step({"t": t}, AdamState({"t": t}), lr=0.5)
         npt.assert_array_equal(t.data, [1.0, 2.0])
+
+    def test_equals_dense_reference_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        shapes = {"table": (30, 7), "bias": (5,), "idle": (3, 2)}
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        runs = []
+        for step_fn in (adam_step, dense_adam_step):
+            named = {name: Tensor(data, requires_grad=True, name=name) for name, data in start.items()}
+            state = AdamState(named)
+            draws = np.random.default_rng(47)
+            for name, shape in shapes.items():
+                state.m[name][...] = draws.normal(size=shape)
+                state.v[name][...] = draws.uniform(0.0, 2.0, size=shape)
+            for _ in range(6):
+                for name, shape in shapes.items():
+                    # "idle" never has a gradient; the others span many scales
+                    grad = draws.normal(size=shape) * 10.0 ** draws.integers(-6, 4, size=shape)
+                    named[name].grad = None if name == "idle" else grad
+                step_fn(named, state, lr=draws.uniform(1e-4, 0.1))
+            runs.append((named, state))
+        (named, state), (ref_named, ref_state) = runs
+        assert state.step == ref_state.step == 6
+        for name in shapes:
+            npt.assert_array_equal(named[name].data, ref_named[name].data)
+            npt.assert_array_equal(state.m[name], ref_state.m[name])
+            npt.assert_array_equal(state.v[name], ref_state.v[name])
 
 
 class TestClipping:
