@@ -36,7 +36,7 @@ __all__ = [
     "mean",
     "softmax_weights",
     "nll",
-    "gru_sequence",
+    "bigru",
     "crf_marginals",
     "dropout_mask",
 ]
@@ -387,11 +387,12 @@ def nll(logits: Tensor, gold_ids) -> Tensor:
     return _make(out_data, (logits,), backward, "nll")
 
 
-def gru_sequence(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool = False) -> Tensor:
-    """One GRU direction over a whole sentence, gates in (reset, update, candidate) order.
+def bigru(x: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor]) -> Tensor:
+    """One bidirectional GRU layer over a sentence, gates in (reset, update, candidate) order.
 
-    ``xp`` is the n x 3H input projection. From h = 0, each step t (last to
-    first when ``reverse`` is set) computes
+    ``x`` is n x d, and ``fwd`` and ``bwd`` are each (w_ih d x 3H, w_hh H x 3H,
+    b_ih 3H, b_hh 3H). Per direction, xp = x @ w_ih + b_ih, and from h = 0
+    each step t (first to last forward, last to first backward) computes
 
         hp = h @ w_hh + b_hh
         r  = sigmoid(xp[t, 0:H]  + hp[0:H])
@@ -399,53 +400,69 @@ def gru_sequence(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool = False) 
         c  = tanh(xp[t, 2H:] + r * hp[2H:])
         h' = (1 - u) * c + u * h
 
-    and returns the n x H hidden states in sentence order. One tape entry
-    instead of four per token; the adjoint is backprop through time (Werbos
-    1990) with hand-derived per-step terms, pinned against the primitive
-    composition in the tests.
+    Returns the n x 2H states [forward_t ; backward_t] in sentence order. One
+    loop advances both directions, and one tape entry covers the layer. The
+    adjoint is backprop through time (Werbos 1990) with hand-derived per-step
+    terms; it equals the per-direction composition bit for bit and is pinned
+    against the primitive composition in the tests.
     """
-    n, H = (xp.shape[0] if xp.ndim else 0), (w_hh.shape[0] if w_hh.ndim else 0)
-    if n < 1 or xp.shape != (n, 3 * H) or w_hh.shape != (H, 3 * H) or b_hh.shape != (3 * H,):
+    H = fwd[1].shape[0] if fwd[1].ndim else 0
+    want = [(x.shape[-1] if x.ndim else 0, 3 * H), (H, 3 * H), (3 * H,), (3 * H,)]
+    if x.ndim != 2 or x.shape[0] < 1 or any([t.shape for t in p] != want for p in (fwd, bwd)):
         raise DimensionError(
-            f"gru_sequence expects xp (n >= 1, 3H), w_hh (H, 3H), b_hh (3H,), "
-            f"got {xp.shape}, {w_hh.shape}, {b_hh.shape}"
+            f"bigru expects x (n >= 1, d) and per direction w_ih (d, 3H), w_hh (H, 3H), b_ih (3H,), "
+            f"b_hh (3H,), got {x.shape}, {[t.shape for t in fwd]}, {[t.shape for t in bwd]}"
         )
-    X, W, b = xp.data, w_hh.data, b_hh.data
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    states = np.empty((n, H))
-    prev = np.empty((n, H))  # the state each step started from
-    ru = np.empty((n, 2 * H))
-    c = np.empty((n, H))
-    hp_c = np.empty((n, H))
-    h = np.zeros(H)
-    for t in order:
-        prev[t] = h
-        hp = h @ W + b
-        ru[t] = 1.0 / (1.0 + np.exp(-(X[t, : 2 * H] + hp[: 2 * H])))
-        hp_c[t] = hp[2 * H :]
-        c[t] = np.tanh(X[t, 2 * H :] + ru[t, :H] * hp_c[t])
-        h = states[t] = (1.0 - ru[t, H:]) * c[t] + ru[t, H:] * h
-    r, u = ru[:, :H], ru[:, H:]
+    n = x.shape[0]
+    W = (fwd[1].data, bwd[1].data)  # w_hh
+    b = np.stack((fwd[3].data, bwd[3].data))  # b_hh
+    # xp in step order (step s: position s forward, n - 1 - s backward); axis 1 is the direction
+    X = np.stack((x.data @ fwd[0].data + fwd[2].data, (x.data @ bwd[0].data + bwd[2].data)[::-1]), axis=1)
+    states = np.empty((n, 2, H))
+    prev = np.empty((n, 2, H))  # the state each step started from
+    ru = np.empty((n, 2, 2 * H))
+    c = np.empty((n, 2, H))
+    hp_c = np.empty((n, 2, H))
+    h = np.zeros((2, H))
+    hp = np.empty((2, 3 * H))
+    for s in range(n):
+        prev[s] = h
+        hp[0], hp[1] = h[0] @ W[0], h[1] @ W[1]
+        hp += b
+        ru[s] = 1.0 / (1.0 + np.exp(-(X[s, :, : 2 * H] + hp[:, : 2 * H])))
+        hp_c[s] = hp[:, 2 * H :]
+        c[s] = np.tanh(X[s, :, 2 * H :] + ru[s, :, :H] * hp_c[s])
+        h = states[s] = (1.0 - ru[s, :, H:]) * c[s] + ru[s, :, H:] * h
+    r, u = ru[..., :H], ru[..., H:]
 
     def backward(g):
-        # g_hp[t] is the gradient into step t's hidden projection hp
-        g_hp = np.empty((n, 3 * H))
-        g_xc = np.empty((n, H))
-        carry = np.zeros(H)
-        for t in reversed(order):
-            gh = g[t] + carry
-            g_hp[t, H : 2 * H] = gh * (prev[t] - c[t]) * u[t] * (1.0 - u[t])
-            g_xc[t] = gh * (1.0 - u[t]) * (1.0 - c[t] * c[t])
-            g_hp[t, :H] = g_xc[t] * hp_c[t] * r[t] * (1.0 - r[t])
-            g_hp[t, 2 * H :] = g_xc[t] * r[t]
-            carry = gh * u[t] + W @ g_hp[t]
-        g_xp = g_hp.copy()
-        g_xp[:, 2 * H :] = g_xc
-        _accumulate(xp, g_xp)
-        _accumulate(w_hh, prev.T @ g_hp)
-        _accumulate(b_hh, g_hp.sum(axis=0))
+        G = np.stack((g[:, :H], g[::-1, H:]), axis=1)  # upstream in step order
+        # g_hp[s] is the gradient into step s's hidden projection hp
+        g_hp = np.empty((n, 2, 3 * H))
+        g_xc = np.empty((n, 2, H))
+        carry = np.zeros((2, H))
+        w_g = np.empty((2, H))
+        for s in range(n - 1, -1, -1):
+            gh = G[s] + carry
+            g_hp[s, :, H : 2 * H] = gh * (prev[s] - c[s]) * u[s] * (1.0 - u[s])
+            g_xc[s] = gh * (1.0 - u[s]) * (1.0 - c[s] * c[s])
+            g_hp[s, :, :H] = g_xc[s] * hp_c[s] * r[s] * (1.0 - r[s])
+            g_hp[s, :, 2 * H :] = g_xc[s] * r[s]
+            w_g[0], w_g[1] = W[0] @ g_hp[s, 0], W[1] @ g_hp[s, 1]
+            carry = gh * u[s] + w_g
+        # per direction in sentence order, backward first as the per-direction tape ran
+        for k, (w_ih, w_hh, b_ih, b_hh), order in ((1, bwd, slice(None, None, -1)), (0, fwd, slice(None))):
+            g_h = np.ascontiguousarray(g_hp[order, k])
+            g_x = g_h.copy()
+            g_x[:, 2 * H :] = g_xc[order, k]
+            _accumulate(w_hh, np.ascontiguousarray(prev[order, k]).T @ g_h)
+            _accumulate(b_hh, g_h.sum(axis=0))
+            _accumulate(b_ih, g_x.sum(axis=0))
+            _accumulate(x, g_x @ w_ih.data.T)
+            _accumulate(w_ih, x.data.T @ g_x)
 
-    return _make(states, (xp, w_hh, b_hh), backward, "gru_sequence")
+    out = np.concatenate((states[:, 0], states[::-1, 1]), axis=1)
+    return _make(out, (x, *fwd, *bwd), backward, "bigru")
 
 
 def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tensor:

@@ -181,16 +181,21 @@ def deserialize(blob: bytes) -> Loaded:
 
 def save_checkpoint(path: str | Path, params: ModelParams, config: RunConfig,
                     vocab: Vocabulary, meta: dict) -> None:
-    """Write atomically: the target only ever holds a complete checkpoint."""
+    """Write atomically: the target only ever holds a complete checkpoint.
+
+    The blob goes to a sibling ``.tmp`` file that then replaces the target;
+    when the replace fails, the temp file is removed before the error goes on.
+    """
     path = Path(path)
     blob = serialize(params, config, vocab, meta)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Loaded:
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint file not found: {path}")
-    return deserialize(path.read_bytes())
+    return deserialize(Path(path).read_bytes())

@@ -134,8 +134,6 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

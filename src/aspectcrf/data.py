@@ -289,8 +289,6 @@ def parse_corpus(
     needs.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"corpus file not found: {path}")
     fmt = fmt or detect_format(path)
     if vocab is None:
         vocab = Vocabulary()

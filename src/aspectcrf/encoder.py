@@ -10,6 +10,7 @@ polynomially with the token's distance from the aspect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +21,8 @@ IN_ASPECT_ROW = 0
 OUT_ASPECT_ROW = 1
 
 
-@dataclass
-class GruDirectionParams:
-    """One direction of one GRU layer, gates fused in (reset, update, candidate) order."""
+class GruDirectionParams(NamedTuple):
+    """One GRU direction in the order ``autodiff.bigru`` takes it, gates fused as (reset, update, candidate)."""
 
     w_ih: Tensor  # d_in x 3H
     w_hh: Tensor  # H x 3H
@@ -54,13 +54,7 @@ def bigru_encode(x: Tensor, layers: list[GruLayerParams]) -> Tensor:
     """
     out = x
     for layer in layers:
-        # per direction: one input projection for all tokens (n x 3H), then
-        # the whole recurrence as one tape entry
-        states = [
-            ad.gru_sequence(ad.add(ad.matmul(out, d.w_ih), d.b_ih), d.w_hh, d.b_hh, reverse)
-            for d, reverse in ((layer.forward, False), (layer.backward, True))
-        ]
-        out = ad.concat(states, axis=1)
+        out = ad.bigru(out, layer.forward, layer.backward)  # one tape entry per layer
     return out
 
 

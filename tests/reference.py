@@ -12,7 +12,10 @@ Nothing in ``src/`` calls these. They stay independent of the code they check:
 - ``grad_check``, central finite differences against tape gradients;
 - the CRF's explicit sequence score, its taped forward recursion and
   ``log_partition``, and the taped marginals that ``crf_marginals`` must match;
-- ``taped_gru_direction``, the per-step composition ``gru_sequence`` must match.
+- ``gru_sequence``, one GRU direction as one tape op, and
+  ``per_direction_bigru``, the Bi-GRU layer built from it with taped
+  ``matmul``/``add``/``concat``, which the fused ``bigru`` must match bit for bit;
+- ``taped_gru_direction``, the per-step composition both must match.
 """
 
 from __future__ import annotations
@@ -356,3 +359,74 @@ def taped_gru_direction(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool) -
         h = ad.add(ad.mul(sub(1.0, u), c), ad.mul(u, h))
         states[t] = h
     return ad.stack(states)
+
+
+def gru_sequence(xp: Tensor, w_hh: Tensor, b_hh: Tensor, reverse: bool = False) -> Tensor:
+    """One GRU direction over a whole sentence, gates in (reset, update, candidate) order.
+
+    ``xp`` is the n x 3H input projection. From h = 0, each step t (last to
+    first when ``reverse`` is set) computes
+
+        hp = h @ w_hh + b_hh
+        r  = sigmoid(xp[t, 0:H]  + hp[0:H])
+        u  = sigmoid(xp[t, H:2H] + hp[H:2H])
+        c  = tanh(xp[t, 2H:] + r * hp[2H:])
+        h' = (1 - u) * c + u * h
+
+    and returns the n x H hidden states in sentence order. One tape entry
+    instead of four per token; the adjoint is backprop through time (Werbos
+    1990) with hand-derived per-step terms, pinned against the primitive
+    composition in the tests.
+    """
+    n, H = (xp.shape[0] if xp.ndim else 0), (w_hh.shape[0] if w_hh.ndim else 0)
+    if n < 1 or xp.shape != (n, 3 * H) or w_hh.shape != (H, 3 * H) or b_hh.shape != (3 * H,):
+        raise DimensionError(
+            f"gru_sequence expects xp (n >= 1, 3H), w_hh (H, 3H), b_hh (3H,), "
+            f"got {xp.shape}, {w_hh.shape}, {b_hh.shape}"
+        )
+    X, W, b = xp.data, w_hh.data, b_hh.data
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    states = np.empty((n, H))
+    prev = np.empty((n, H))  # the state each step started from
+    ru = np.empty((n, 2 * H))
+    c = np.empty((n, H))
+    hp_c = np.empty((n, H))
+    h = np.zeros(H)
+    for t in order:
+        prev[t] = h
+        hp = h @ W + b
+        ru[t] = 1.0 / (1.0 + np.exp(-(X[t, : 2 * H] + hp[: 2 * H])))
+        hp_c[t] = hp[2 * H :]
+        c[t] = np.tanh(X[t, 2 * H :] + ru[t, :H] * hp_c[t])
+        h = states[t] = (1.0 - ru[t, H:]) * c[t] + ru[t, H:] * h
+    r, u = ru[:, :H], ru[:, H:]
+
+    def backward(g):
+        # g_hp[t] is the gradient into step t's hidden projection hp
+        g_hp = np.empty((n, 3 * H))
+        g_xc = np.empty((n, H))
+        carry = np.zeros(H)
+        for t in reversed(order):
+            gh = g[t] + carry
+            g_hp[t, H : 2 * H] = gh * (prev[t] - c[t]) * u[t] * (1.0 - u[t])
+            g_xc[t] = gh * (1.0 - u[t]) * (1.0 - c[t] * c[t])
+            g_hp[t, :H] = g_xc[t] * hp_c[t] * r[t] * (1.0 - r[t])
+            g_hp[t, 2 * H :] = g_xc[t] * r[t]
+            carry = gh * u[t] + W @ g_hp[t]
+        g_xp = g_hp.copy()
+        g_xp[:, 2 * H :] = g_xc
+        _accumulate(xp, g_xp)
+        _accumulate(w_hh, prev.T @ g_hp)
+        _accumulate(b_hh, g_hp.sum(axis=0))
+
+    return _make(states, (xp, w_hh, b_hh), backward, "gru_sequence")
+
+
+def per_direction_bigru(x: Tensor, fwd, bwd, direction=gru_sequence) -> Tensor:
+    """One Bi-GRU layer as one input projection and one ``direction`` call per
+    direction, then a concat: 7 tape entries with ``gru_sequence``."""
+    states = [
+        direction(ad.add(ad.matmul(x, w_ih), b_ih), w_hh, b_hh, reverse)
+        for (w_ih, w_hh, b_ih, b_hh), reverse in ((fwd, False), (bwd, True))
+    ]
+    return ad.concat(states, axis=1)

@@ -98,7 +98,7 @@ class TestEval:
         code = main(["eval", "--ckpt", str(workdir / "nope.acrf"), "--test",
                      str(workdir / "test.jsonl")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("checkpoint-error:")
+        assert capsys.readouterr().err.startswith("path-error:")
 
     @pytest.mark.parametrize("meta", [b"\xff\xfe", b'{"max_sentence_len": '])
     def test_eval_corrupt_checkpoint(self, workdir, trained, capsys, meta):
@@ -287,11 +287,21 @@ class TestStats:
 
 
 class TestErrorSurface:
+    def test_out_directory_leaves_no_temp_file(self, workdir, capsys):
+        # training finishes, then moving the checkpoint onto a directory fails
+        out = workdir / "outdir"
+        out.mkdir()
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(out),
+                     "--log", str(workdir / "outdir.log.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+        assert list(workdir.glob("*.tmp")) == [] and list(out.iterdir()) == []
+
     def test_missing_config_file(self, workdir, capsys):
         code = main(["train", "--config", str(workdir / "none.json"), "--out",
                      str(workdir / "x.acrf")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config-error:")
+        assert capsys.readouterr().err.startswith("path-error:")
 
     def test_config_without_train_path(self, workdir, capsys):
         bad = workdir / "bad.json"

@@ -138,7 +138,7 @@ class TestSerialization:
         assert cfg.hidden_size == 32 and cfg.seed == 4
 
     def test_from_file_missing(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(FileNotFoundError):
             RunConfig.from_file(tmp_path / "none.json")
 
     def test_replace_revalidates(self):

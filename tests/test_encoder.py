@@ -20,7 +20,7 @@ from aspectcrf.encoder import (
     embed_input,
     init_gru_direction,
 )
-from reference import grad_check, taped_gru_direction
+from reference import grad_check, per_direction_bigru, taped_gru_direction
 
 
 def gru_cell_oracle(xp, hp, h):
@@ -51,80 +51,148 @@ def make_layer(d_in, hidden, rng):
     )
 
 
-def gru_inputs(n, H, rng):
-    xp = Tensor(rng.normal(size=(n, 3 * H)), requires_grad=True, name="xp")
-    w_hh = Tensor(rng.normal(size=(H, 3 * H)), requires_grad=True, name="w_hh")
-    b_hh = Tensor(rng.normal(size=3 * H), requires_grad=True, name="b_hh")
-    return xp, w_hh, b_hh
+def layer_stack(num_layers, d_in, hidden, rng):
+    """Layers whose weights are scaled up from init, so that gates saturate unevenly."""
+    layers = [make_layer(d_in, hidden, rng)] + [make_layer(2 * hidden, hidden, rng) for _ in range(num_layers - 1)]
+    for t in layer_tensors(layers):
+        t.data[...] = rng.normal(scale=1.5, size=t.shape)
+    return layers
+
+
+def layer_tensors(layers):
+    return [t for layer in layers for d in (layer.forward, layer.backward) for t in d]
 
 
 def values_and_gradients(run, inputs, upstream):
-    """run(*inputs) and the gradients of sum(run(*inputs) * upstream) into inputs."""
+    """run() and the gradients of sum(run() * upstream) into inputs."""
     for t in inputs:
         t.zero_grad()
     with Tape() as tape:
-        out = run(*inputs)
+        out = run()
         tape.backward(ad.reduce_sum(ad.mul(out, upstream)))
     return out.numpy(), [t.grad.copy() for t in inputs]
 
 
-class TestGruSequence:
-    def test_matches_composed_gates(self):
-        # values against the numpy oracle, values and gradients into xp, w_hh
-        # and b_hh against the taped per-step composition under random
-        # upstream weights
+def run_layers(layer_op, x, layers, **kwargs):
+    out = x
+    for layer in layers:
+        out = layer_op(out, layer.forward, layer.backward, **kwargs)
+    return out
+
+
+class TestBiGruOp:
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("hidden", [2, 4, 32])
+    def test_bit_identical_to_per_direction_layers(self, num_layers, hidden):
+        # values and gradients into x and every parameter equal the old layer
+        # body: one projection and one gru_sequence per direction, then concat
+        rng = np.random.default_rng(100 * num_layers + hidden)
+        for n in range(1, 15):
+            layers = layer_stack(num_layers, 3, hidden, rng)
+            x = Tensor(rng.normal(size=(n, 3)), requires_grad=True, name="x")
+            inputs = [x] + layer_tensors(layers)
+            upstream = Tensor(rng.normal(size=(n, 2 * hidden)))
+            fused, fused_grads = values_and_gradients(lambda: run_layers(ad.bigru, x, layers), inputs, upstream)
+            ref, ref_grads = values_and_gradients(lambda: run_layers(per_direction_bigru, x, layers), inputs, upstream)
+            npt.assert_array_equal(fused, ref)
+            for got, want in zip(fused_grads, ref_grads):
+                npt.assert_array_equal(got, want)
+
+    def test_accumulates_into_x_after_later_ops_backward_direction_first(self):
+        # x also feeds a mul recorded after the layer, so x.grad already holds
+        # that term when the layer's adjoint adds the backward direction's and
+        # then the forward direction's, as the per-direction tape did
+        rng = np.random.default_rng(7)
+        for n in (1, 5, 13):
+            layers = layer_stack(1, 4, 8, rng)
+            x = Tensor(rng.normal(size=(n, 4)), requires_grad=True, name="x")
+            side = Tensor(rng.normal(scale=1e3, size=(n, 4)))
+            upstream = Tensor(np.concatenate([rng.normal(size=(n, 16)), np.ones((n, 4))], axis=1))
+
+            def run(layer_op):
+                return lambda: ad.concat([run_layers(layer_op, x, layers), ad.mul(x, side)], axis=1)
+
+            inputs = [x] + layer_tensors(layers)
+            _, fused_grads = values_and_gradients(run(ad.bigru), inputs, upstream)
+            _, ref_grads = values_and_gradients(run(per_direction_bigru), inputs, upstream)
+            for got, want in zip(fused_grads, ref_grads):
+                npt.assert_array_equal(got, want)
+
+    def test_matches_taped_and_numpy_oracles(self):
         rng = np.random.default_rng(0)
         H = 4
-        for reverse in (False, True):
-            for n in range(1, 15):
-                inputs = gru_inputs(n, H, rng)
-                upstream = Tensor(rng.normal(size=(n, H)))
-                fused, fused_grads = values_and_gradients(
-                    lambda *a: ad.gru_sequence(*a, reverse=reverse), inputs, upstream
-                )
-                taped, taped_grads = values_and_gradients(
-                    lambda *a: taped_gru_direction(*a, reverse=reverse), inputs, upstream
-                )
-                oracle = gru_direction_oracle(*(t.data for t in inputs), reverse)
-                npt.assert_allclose(fused, oracle, rtol=0, atol=1e-12)
-                npt.assert_allclose(fused, taped, rtol=0, atol=1e-12)
-                for got, want in zip(fused_grads, taped_grads):
-                    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for n in range(1, 15):
+            layers = layer_stack(1, 3, H, rng)
+            x = Tensor(rng.normal(size=(n, 3)), requires_grad=True, name="x")
+            inputs = [x] + layer_tensors(layers)
+            upstream = Tensor(rng.normal(size=(n, 2 * H)))
+            fused, fused_grads = values_and_gradients(lambda: run_layers(ad.bigru, x, layers), inputs, upstream)
+            taped, taped_grads = values_and_gradients(
+                lambda: run_layers(per_direction_bigru, x, layers, direction=taped_gru_direction), inputs, upstream
+            )
+            oracle = np.concatenate([
+                gru_direction_oracle(x.data @ d.w_ih.data + d.b_ih.data, d.w_hh.data, d.b_hh.data, reverse)
+                for d, reverse in ((layers[0].forward, False), (layers[0].backward, True))
+            ], axis=1)
+            npt.assert_allclose(fused, oracle, rtol=0, atol=1e-12)
+            npt.assert_allclose(fused, taped, rtol=0, atol=1e-12)
+            for got, want in zip(fused_grads, taped_grads):
+                npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
-        for reverse in (False, True):
-            xp, w_hh, b_hh = gru_inputs(5, 3, rng)
-            w = Tensor(rng.normal(size=(5, 3)))  # fixed weights make the loss non-degenerate
-            report = grad_check(
-                lambda: ad.reduce_sum(ad.mul(ad.gru_sequence(xp, w_hh, b_hh, reverse), w)),
-                [xp, w_hh, b_hh],
-            )
-            assert report.passed, report.failures
+        layer = make_layer(2, 3, rng)
+        x = Tensor(rng.normal(size=(5, 2)), requires_grad=True, name="x")
+        w = Tensor(rng.normal(size=(5, 6)))  # fixed weights make the loss non-degenerate
+        inputs = [x] + layer_tensors([layer])
+        assert len(inputs) == 9
+        report = grad_check(lambda: ad.reduce_sum(ad.mul(ad.bigru(x, layer.forward, layer.backward), w)), inputs)
+        assert report.passed, report.failures
 
     def test_rejects_bad_shapes(self):
-        xp, w_hh, b_hh = gru_inputs(3, 2, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        layer = make_layer(3, 2, rng)
+        fwd, bwd = layer.forward, layer.backward
+        x = Tensor(rng.normal(size=(4, 3)))
         bad = [
-            (Tensor(np.zeros((0, 6))), w_hh, b_hh),  # no tokens
-            (Tensor(np.zeros(6)), w_hh, b_hh),  # xp not 2-D
-            (Tensor(np.zeros((3, 5))), w_hh, b_hh),  # xp width != 3H
-            (xp, Tensor(np.zeros((2, 5))), b_hh),  # w_hh not H x 3H
-            (xp, Tensor(np.zeros(6)), b_hh),  # w_hh not 2-D
-            (xp, w_hh, Tensor(np.zeros(5))),  # b_hh not 3H
+            (Tensor(np.zeros((0, 3))), fwd, bwd),  # no tokens
+            (Tensor(np.zeros(3)), fwd, bwd),  # x not 2-D
+            (Tensor(np.zeros((4, 5))), fwd, bwd),  # x width != d
+            (x, fwd._replace(w_ih=Tensor(np.zeros((3, 5)))), bwd),  # w_ih not d x 3H
+            (x, fwd, bwd._replace(w_hh=Tensor(np.zeros((2, 5))))),  # w_hh not H x 3H
+            (x, fwd._replace(w_hh=Tensor(np.zeros(6))), bwd),  # w_hh not 2-D
+            (x, fwd, bwd._replace(b_ih=Tensor(np.zeros(5)))),  # b_ih not 3H
+            (x, fwd._replace(b_hh=Tensor(np.zeros((1, 6)))), bwd),  # b_hh not 1-D
+            (x, fwd, init_gru_direction(4, 2, rng, "d4")),  # directions disagree on d
+            (x, fwd, init_gru_direction(3, 3, rng, "h3")),  # directions disagree on H
+            (x, init_gru_direction(3, 3, rng, "h3"), bwd),
         ]
         for args in bad:
             with pytest.raises(ad.DimensionError):
-                ad.gru_sequence(*args)
+                ad.bigru(*args)
+
+    def test_non_finite_upstream_gradient_rejected(self):
+        rng = np.random.default_rng(4)
+        layer = make_layer(3, 2, rng)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="x")
+        with Tape() as tape:
+            out = ad.bigru(x, layer.forward, layer.backward)
+        (_, adjoint), = tape._entries
+        for half in (slice(0, 2), slice(2, 4)):
+            g = np.ones(out.shape)
+            g[1, half] = np.nan
+            with pytest.raises(ad.NonFiniteError, match="gradient flowing into"):
+                adjoint(g)
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     def test_bigru_tape_entries_independent_of_length(self, num_layers):
-        # matmul + add + gru_sequence per direction, one concat per layer
+        # one bigru entry per layer
         rng = np.random.default_rng(3)
         layers = [make_layer(3, 4, rng)] + [make_layer(8, 4, rng) for _ in range(num_layers - 1)]
         for n in (1, 2, 7, 30):
             with Tape() as tape:
                 bigru_encode(Tensor(rng.normal(size=(n, 3))), layers)
-            assert len(tape) == 7 * num_layers
+            assert len(tape) == num_layers
 
 
 class TestBiGru:
