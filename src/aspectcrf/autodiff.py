@@ -268,8 +268,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out_data = a.data[idx]
 
     def backward(g):
-        if not a.requires_grad:
-            return
         # the modulo folds negative ids onto the rows they selected
         ids, slot = np.unique(idx.reshape(-1) % a.shape[0], return_inverse=True)
         rows = np.zeros((ids.size, a.shape[1]))

@@ -3,13 +3,15 @@
 Every command is deterministic given its arguments plus the config seed.
 Failures print a single ``category: message`` line to stderr and exit
 nonzero; nothing is partially written (checkpoints are saved atomically
-after training finishes).
+after training finishes, and the epoch log takes its name only once the
+checkpoint is saved).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -55,14 +57,13 @@ def _load_training_data(cfg: RunConfig):
     """
     if not cfg.train_path:
         raise ConfigError("train_path: required")
-    fmt = cfg.corpus_format or None
-    instances, vocab, report = parse_corpus(cfg.train_path, fmt)
+    instances, vocab, report = parse_corpus(cfg.train_path)
     if not instances:
         raise CorpusFormatError(f"{cfg.train_path}: no usable instances")
     train_set, dev_set = split_train_dev(instances, cfg.seed)
     test_set: list[AspectInstance] = []
     if cfg.test_path:
-        test_set, _, _ = parse_corpus(cfg.test_path, fmt, vocab=vocab, grow_vocab=False)
+        test_set, _, _ = parse_corpus(cfg.test_path, vocab=vocab, grow_vocab=False)
     max_len = corpus_max_len(train_set, dev_set, test_set)
     embeddings: EmbeddingMatrix | None = None
     if cfg.embeddings_path:
@@ -89,16 +90,24 @@ def cmd_train(args) -> int:
         cfg = cfg.replace(seed=args.seed)
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    result, _, report = _train_once(cfg, log_path)
-    meta = build_meta(
-        result.max_len,
-        result.dev_accuracy,
-        result.dev_macro_f1,
-        result.best_epoch,
-        result.vocab,
-        result.params.pretrained_mask,
-    )
-    save_checkpoint(out, result.params, cfg, result.vocab, meta)
+    # the log is written beside its target and renamed after the save, so a
+    # run that fails or cannot be saved leaves no log and keeps an older one
+    log_tmp = log_path.with_name(log_path.name + ".tmp")
+    try:
+        result, _, report = _train_once(cfg, log_tmp)
+        meta = build_meta(
+            result.max_len,
+            result.dev_accuracy,
+            result.dev_macro_f1,
+            result.best_epoch,
+            result.vocab,
+            result.params.pretrained_mask,
+        )
+        save_checkpoint(out, result.params, cfg, result.vocab, meta)
+        os.replace(log_tmp, log_path)
+    except BaseException:
+        log_tmp.unlink(missing_ok=True)
+        raise
     print(f"# {report}")
     print(f"# best epoch {result.best_epoch} of {result.epochs_run}; checkpoint {out}; log {log_path}")
     print(REPORT_HEADER)
@@ -108,8 +117,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     loaded = load_checkpoint(args.ckpt)
-    fmt = loaded.config.corpus_format or None
-    instances, _, _ = parse_corpus(args.test, fmt, vocab=loaded.vocab, grow_vocab=False)
+    instances, _, _ = parse_corpus(args.test, vocab=loaded.vocab, grow_vocab=False)
     if not instances:
         raise CorpusFormatError(f"{args.test}: no evaluable instances")
     accuracy, macro_f1, _ = evaluate(loaded.params, instances, loaded.config, loaded.max_len)

@@ -21,10 +21,18 @@ ASPECT_DIMS = (50, 70, 90)
 GAMMA_CHOICES = (0, 1, 2, 3)  # 0 is the no-decay ablation
 LAYER_CHOICES = (1, 2, 3)
 MAX_CRF_HEADS = 16
-SELECTION_METRICS = ("accuracy", "macro_f1")
 
 # the JSON types each annotated field type accepts; bools are never numbers
 _ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+# fields that older config files and checkpoints carry, each with the one value
+# this code implements; from_json drops them at that value and rejects any other
+_RETIRED = {
+    "embeddings_trainable": True,
+    "share_transitions": False,
+    "selection_metric": "accuracy",
+    "corpus_format": "",
+}
 
 
 class ConfigError(ValueError):
@@ -47,14 +55,10 @@ class RunConfig:
     no_aspect_indicator: bool = False
     no_decay: bool = False
     no_structured_attention: bool = False
-    embeddings_trainable: bool = True
-    share_transitions: bool = False
-    selection_metric: str = "accuracy"
     embedding_dim: int = 300
     train_path: str = ""
     test_path: str = ""
     embeddings_path: str = ""
-    corpus_format: str = ""  # empty = infer from file suffix
 
     def __post_init__(self):
         self.validate()
@@ -87,19 +91,8 @@ class RunConfig:
         check(self.patience >= 1, "patience", "must be >= 1")
         check(self.seed >= 0, "seed", "must be >= 0")
         check(self.embedding_dim >= 1, "embedding_dim", "must be >= 1")
-        check(
-            self.selection_metric in SELECTION_METRICS,
-            "selection_metric",
-            f"must be one of {SELECTION_METRICS}",
-        )
         flags = [self.no_aspect_indicator, self.no_decay, self.no_structured_attention]
         check(sum(flags) <= 1, "ablation", "at most one ablation flag per run")
-        if self.corpus_format:
-            check(
-                self.corpus_format in ("semeval-xml", "jsonl"),
-                "corpus_format",
-                "must be semeval-xml or jsonl",
-            )
 
     @property
     def effective_gamma(self) -> int:
@@ -122,6 +115,11 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        for name, kept in _RETIRED.items():
+            if name in raw:
+                value = raw.pop(name)
+                if type(value) is not type(kept) or value != kept:
+                    raise ConfigError(f"{name}: retired field; only {kept!r} is supported, got {value!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:

@@ -270,35 +270,25 @@ def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
     return instances
 
 
-def detect_format(path: str | Path) -> str:
-    return "semeval-xml" if Path(path).suffix.lower() == ".xml" else "jsonl"
-
-
 def parse_corpus(
     path: str | Path,
-    fmt: str | None = None,
     vocab: Vocabulary | None = None,
     grow_vocab: bool = True,
 ) -> tuple[list[AspectInstance], Vocabulary, DropReport]:
     """Parse a corpus file into aspect instances.
 
-    ``fmt`` is "semeval-xml" or "jsonl"; inferred from the suffix when omitted.
+    A ``.xml`` suffix, in any case, means SemEval XML; any other file is JSONL.
     Token ids come from ``vocab`` (created fresh when None); with
     ``grow_vocab`` False unseen tokens map to the unknown id instead of
     extending the vocabulary, which is what evaluation on a fixed checkpoint
     needs.
     """
     path = Path(path)
-    fmt = fmt or detect_format(path)
     if vocab is None:
         vocab = Vocabulary()
     report = DropReport()
-    if fmt == "semeval-xml":
-        instances = _parse_semeval_xml(path, vocab, grow_vocab, report)
-    elif fmt == "jsonl":
-        instances = _parse_jsonl(path, vocab, grow_vocab, report)
-    else:
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}")
+    parse = _parse_semeval_xml if path.suffix.lower() == ".xml" else _parse_jsonl
+    instances = parse(path, vocab, grow_vocab, report)
     return instances, vocab, report
 
 
@@ -350,6 +340,10 @@ def load_embeddings(
 ) -> EmbeddingMatrix:
     """Read a text embedding file (token + ``dim`` floats per line).
 
+    The last ``dim`` space-separated fields of a line are its vector and
+    everything before them is its token, so a token may hold spaces; trailing
+    whitespace is ignored, and a line with fewer fields fails.
+
     Vocabulary rows found in the file are copied bit-for-bit and must be
     finite numbers (only those rows are parsed); all others are
     sampled uniform in [-0.1, 0.1] (padding row zeroed). The random rows are
@@ -362,7 +356,7 @@ def load_embeddings(
     pretrained = np.zeros(len(vocab), dtype=bool)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in _utf8_lines(fh, path):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().rsplit(" ", dim)
             if len(parts) < 2:
                 continue
             token = parts[0]

@@ -36,7 +36,7 @@ class ModelParams:
     pretrained_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def named_tensors(self) -> dict[str, Tensor]:
-        """Stable name -> tensor map; shared tensors appear exactly once."""
+        """Stable name -> tensor map, in the order checkpoints store them."""
         named: dict[str, Tensor] = {"embedding": self.embedding, "indicator": self.indicator}
         for li, layer in enumerate(self.gru_layers):
             for dname, d in (("fwd", layer.forward), ("bwd", layer.backward)):
@@ -44,20 +44,15 @@ class ModelParams:
                 named[f"gru.l{li}.{dname}.w_hh"] = d.w_hh
                 named[f"gru.l{li}.{dname}.b_ih"] = d.b_ih
                 named[f"gru.l{li}.{dname}.b_hh"] = d.b_hh
-        seen: set[int] = set()
         for hi, head in enumerate(self.heads):
             named[f"head{hi}.w_emit"] = head.w_emit
             named[f"head{hi}.b_emit"] = head.b_emit
-            for tname, t in (("trans", head.trans), ("start", head.start), ("end", head.end)):
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    named[f"head{hi}.{tname}"] = t
+            named[f"head{hi}.trans"] = head.trans
+            named[f"head{hi}.start"] = head.start
+            named[f"head{hi}.end"] = head.end
         named["cls.w"] = self.cls.w
         named["cls.b"] = self.cls.b
         return named
-
-    def trainable_tensors(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.named_tensors().items() if v.requires_grad}
 
 
 def q_dim(config: RunConfig) -> int:
@@ -87,7 +82,7 @@ def init_params(
     else:
         emb_data = rng.uniform(-0.1, 0.1, size=(vocab_size, config.embedding_dim))
         mask = np.zeros(vocab_size, dtype=bool)
-    embedding = Tensor(emb_data, requires_grad=config.embeddings_trainable, name="embedding")
+    embedding = Tensor(emb_data, requires_grad=True, name="embedding")
     indicator = Tensor(
         rng.uniform(-0.1, 0.1, size=(2, config.d_as)), requires_grad=True, name="indicator"
     )
@@ -106,13 +101,7 @@ def init_params(
     heads: list[crf.CrfHeadParams] = []
     if not config.no_structured_attention:
         rep = 2 * config.hidden_size
-        for hi in range(config.crf_heads):
-            head = crf.init_crf_head(rep, rng, f"head{hi}")
-            if config.share_transitions and heads:
-                head.trans = heads[0].trans
-                head.start = heads[0].start
-                head.end = heads[0].end
-            heads.append(head)
+        heads = [crf.init_crf_head(rep, rng, f"head{hi}") for hi in range(config.crf_heads)]
 
     return ModelParams(
         embedding=embedding,

@@ -133,7 +133,7 @@ def train(
     clock: Callable[[], float] = time.perf_counter,
     log_stream: IO[str] | None = None,
 ) -> TrainResult:
-    """Adam on mean per-batch NLL; keeps the best-dev parameters.
+    """Adam on mean per-batch NLL; keeps the parameters of the best dev accuracy.
 
     ``max_len`` is the decay reference length L; when omitted it is the
     longest sentence across the given splits. Each epoch appends one JSON
@@ -144,14 +144,12 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(config, len(vocab), rng, embeddings)
     named = params.named_tensors()
-    trainable = params.trainable_tensors()
-    state = AdamState(trainable)
+    state = AdamState(named)
     length = max_len if max_len is not None else corpus_max_len(train_set, dev_set)
 
     records: list[dict] = []
-    best_metric = -1.0
     best_epoch = 0
-    best_acc = best_f1 = 0.0
+    best_acc, best_f1 = -1.0, 0.0  # any first epoch beats -1
     best_params = _snapshot(named)
     stale = 0
     clip_events = 0
@@ -166,7 +164,7 @@ def train(
             batch = [train_set[k] for k in order[lo : lo + config.batch_size]]
             if not batch:
                 continue
-            for t in trainable.values():
+            for t in named.values():
                 t.zero_grad()
             try:
                 with Tape() as tape:
@@ -176,14 +174,14 @@ def train(
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch}, batch {batch_index}: {exc}"
                 ) from exc
-            norm, clipped = clip_global_norm(trainable)
+            norm, clipped = clip_global_norm(named)
             if clipped:
                 clip_events += 1
                 logger.info(
                     "gradient norm %.3f clipped to %.1f (epoch %d batch %d)",
                     norm, GRAD_CLIP_NORM, epoch, batch_index,
                 )
-            adam_step(trainable, state, config.lr)
+            adam_step(named, state, config.lr)
             loss_sum += loss.item() * len(batch)
         train_loss = loss_sum / len(train_set)
         dev_acc, dev_f1, _ = evaluate(params, dev_set, config, length)
@@ -197,9 +195,7 @@ def train(
         records.append(record)
         if log_stream is not None:
             log_stream.write(json.dumps(record) + "\n")
-        metric = dev_acc if config.selection_metric == "accuracy" else dev_f1
-        if metric > best_metric:
-            best_metric = metric
+        if dev_acc > best_acc:
             best_epoch = epoch
             best_acc, best_f1 = dev_acc, dev_f1
             best_params = _snapshot(named)

@@ -23,8 +23,8 @@ from aspectcrf.checkpoint import (
     serialize,
 )
 from aspectcrf.config import RunConfig
-from aspectcrf.data import Vocabulary
-from aspectcrf.model import init_params
+from aspectcrf.data import AspectInstance, Vocabulary
+from aspectcrf.model import init_params, predict_instance
 
 
 def with_block(blob: bytes, which: int, payload: bytes) -> bytes:
@@ -73,12 +73,6 @@ class TestRoundTrip:
         assert loaded.meta["label_order"] == ["positive", "neutral", "negative"]
         npt.assert_array_equal(loaded.params.pretrained_mask, params.pretrained_mask)
 
-    def test_shared_transitions_stay_shared(self):
-        params, cfg, vocab, meta = make_fixture(share_transitions=True)
-        loaded = deserialize(serialize(params, cfg, vocab, meta))
-        heads = loaded.params.heads
-        assert heads[1].trans is heads[0].trans
-
     def test_file_round_trip_atomic_write(self, tmp_path):
         params, cfg, vocab, meta = make_fixture()
         path = tmp_path / "model.acrf"
@@ -92,6 +86,44 @@ class TestRoundTrip:
         a = serialize(*make_fixture())
         b = serialize(*make_fixture())
         assert a == b
+
+
+# make_fixture()'s config block as written while RunConfig still had the
+# four fields since retired, each at the one value still implemented
+PARENT_CONFIG_JSON = (
+    '{"batch_size":64,"corpus_format":"","crf_heads":2,"d_as":50,"dropout":0.3,'
+    '"embedding_dim":8,"embeddings_path":"","embeddings_trainable":true,"gamma":2,'
+    '"gru_layers":1,"hidden_size":32,"lr":0.008,"max_epochs":100,'
+    '"no_aspect_indicator":false,"no_decay":false,"no_structured_attention":false,'
+    '"patience":10,"seed":0,"selection_metric":"accuracy","share_transitions":false,'
+    '"test_path":"","train_path":""}'
+)
+
+
+class TestLegacyConfigBlock:
+    def test_loads_and_predicts_bit_identically(self):
+        params, cfg, vocab, meta = make_fixture()
+        legacy = deserialize(with_block(serialize(params, cfg, vocab, meta), 0,
+                                        PARENT_CONFIG_JSON.encode("utf-8")))
+        assert legacy.config == cfg
+        restored = legacy.params.named_tensors()
+        for name, t in params.named_tensors().items():
+            assert restored[name].data.tobytes() == t.data.tobytes()
+        inst = AspectInstance((2, 3, 4, 5, 6), 1, 1, "positive", "the pizza was great .")
+        want = predict_instance(params, inst, cfg, legacy.max_len)
+        got = predict_instance(legacy.params, inst, legacy.config, legacy.max_len)
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert np.array(got.head_marginals).tobytes() == np.array(want.head_marginals).tobytes()
+
+    @pytest.mark.parametrize(
+        "field,kept,other",
+        [("share_transitions", "false", "true"), ("embeddings_trainable", "true", "false")],
+    )
+    def test_other_variant_refused(self, field, kept, other):
+        blob = serialize(*make_fixture())
+        spliced = PARENT_CONFIG_JSON.replace(f'"{field}":{kept}', f'"{field}":{other}')
+        with pytest.raises(CheckpointError, match=field):
+            deserialize(with_block(blob, 0, spliced.encode("utf-8")))
 
 
 class TestRejection:

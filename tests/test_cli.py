@@ -296,6 +296,16 @@ class TestErrorSurface:
         assert code == 1
         assert_one_error_line(capsys, "path-error")
         assert list(workdir.glob("*.tmp")) == [] and list(out.iterdir()) == []
+        assert not (workdir / "outdir.log.jsonl").exists()
+        # a log already at --log is left as it was
+        older = workdir / "older.log.jsonl"
+        older.write_bytes(b'{"epoch": 7}\n')
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(out),
+                     "--log", str(older)])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+        assert older.read_bytes() == b'{"epoch": 7}\n'
+        assert list(workdir.glob("*.tmp")) == [] and list(out.iterdir()) == []
 
     def test_missing_config_file(self, workdir, capsys):
         code = main(["train", "--config", str(workdir / "none.json"), "--out",

@@ -44,8 +44,6 @@ class TestValidation:
             ("lr", -0.1),
             ("max_epochs", 0),
             ("patience", 0),
-            ("selection_metric", "loss"),
-            ("corpus_format", "csv"),
             ("embedding_dim", 0),
             # types are checked exactly: bools are not numbers, ints take ints only
             ("crf_heads", True),
@@ -59,9 +57,7 @@ class TestValidation:
             ("lr", float("nan")),
             pytest.param("lr", 10**400, id="lr-huge-int"),
             ("no_decay", 1),
-            ("embeddings_trainable", "yes"),
             ("train_path", None),
-            ("selection_metric", 0),
         ],
     )
     def test_out_of_domain_rejected(self, field, value):
@@ -87,6 +83,35 @@ class TestValidation:
     def test_effective_gamma_under_ablation(self):
         assert RunConfig(gamma=3, no_decay=True).effective_gamma == 0
         assert RunConfig(gamma=3).effective_gamma == 3
+
+
+class TestRetiredFields:
+    """Fields older configs and checkpoints carry load at the one value still implemented."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("embeddings_trainable", True), ("share_transitions", False),
+         ("selection_metric", "accuracy"), ("corpus_format", "")],
+    )
+    def test_retired_value_dropped(self, field, value):
+        base = {"hidden_size": 32, "seed": 4}
+        cfg = RunConfig.from_json(json.dumps({**base, field: value}))
+        assert cfg.to_canonical_json() == RunConfig.from_json(json.dumps(base)).to_canonical_json()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("share_transitions", True), ("share_transitions", 0),
+         ("selection_metric", "macro_f1"), ("embeddings_trainable", False),
+         ("corpus_format", "jsonl")],
+    )
+    def test_other_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            RunConfig.from_json(json.dumps({field: value}))
+
+    def test_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            RunConfig(share_transitions=False)
+        assert len(dataclasses.fields(RunConfig)) == 18
 
 
 class TestFromJsonProperty:

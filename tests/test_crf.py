@@ -263,8 +263,7 @@ class TestHeadAxis:
                     npt.assert_allclose(b.grad[idx], s.grad, rtol=0, atol=1e-12)
 
     def test_shared_potentials_stacked_k_times(self):
-        # share_transitions: one tensor stacked per head receives every
-        # head's gradient
+        # one tensor stacked per head receives every head's gradient
         rng = np.random.default_rng(12)
         k, n = 3, 6
         e = rng.uniform(-5, 5, size=(n, k, 2))

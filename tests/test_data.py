@@ -301,11 +301,24 @@ class TestParseJsonl:
         with pytest.raises(FileNotFoundError):
             parse_corpus(tmp_path / "nope.jsonl")
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match="format"):
-            parse_corpus(path, fmt="csv")
+
+
+class TestFormatBySuffix:
+    def test_upper_case_xml_suffix_parses_as_xml(self, tmp_path):
+        path = tmp_path / "x.XML"
+        path.write_text(XML_DOC, encoding="utf-8")
+        instances, _, report = parse_corpus(path)
+        assert len(instances) == 2 and report.sentences == 3
+
+    def test_other_suffix_parses_as_jsonl(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text(
+            '{"text": "good pizza", "aspect_char_start": 5, "aspect_char_end": 10, "label": "positive"}\n',
+            encoding="utf-8",
+        )
+        instances, vocab, _ = parse_corpus(path)
+        assert len(instances) == 1
+        assert vocab.token(instances[0].token_ids[1]) == "pizza"
 
 
 def make_instances(n):
@@ -384,6 +397,23 @@ class TestLoadEmbeddings:
         e1 = load_embeddings(p1, vocab, np.random.default_rng(7), dim=4)
         e2 = load_embeddings(p2, vocab, np.random.default_rng(7), dim=4)
         npt.assert_array_equal(e1.matrix, e2.matrix)
+
+    @pytest.mark.parametrize("spaced", ["new york 0.5 0.5", "new york 0.5 0.5 "])
+    def test_token_with_spaces_is_read_from_the_right(self, tmp_path, spaced):
+        vocab = Vocabulary()
+        vocab.add("york")
+        vocab.add("pizza")
+        path = tmp_path / "vecs.txt"
+        path.write_text("york 1.0 2.0\n" + spaced + "\npizza 3.0 4.0\n", encoding="utf-8")
+        emb = load_embeddings(path, vocab, np.random.default_rng(0), dim=2)
+        npt.assert_array_equal(emb.matrix[2:4], [[1.0, 2.0], [3.0, 4.0]])
+        assert emb.pretrained[2:4].all()
+
+    def test_short_line_after_spaced_token_fails(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("new york 0.5 0.5\npizza 3.0\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="line 2 has 1 values, expected 2"):
+            load_embeddings(path, Vocabulary(), np.random.default_rng(0), dim=2)
 
     def test_wrong_width_names_line(self, tmp_path):
         vocab = Vocabulary()

@@ -79,22 +79,6 @@ class TestInitParams:
         with pytest.raises(ValueError, match="match"):
             init_params(small_config(), 20, np.random.default_rng(0), emb)
 
-    def test_frozen_embeddings_not_trainable(self):
-        cfg = small_config(embeddings_trainable=False)
-        params = init_params(cfg, 20, np.random.default_rng(0))
-        assert not params.embedding.requires_grad
-        assert "embedding" not in params.trainable_tensors()
-        assert "embedding" in params.named_tensors()
-
-    def test_share_transitions_aliases_tensors(self):
-        cfg = small_config(share_transitions=True)
-        params = init_params(cfg, 20, np.random.default_rng(0))
-        assert params.heads[1].trans is params.heads[0].trans
-        assert params.heads[1].start is params.heads[0].start
-        assert params.heads[1].w_emit is not params.heads[0].w_emit
-        named = params.named_tensors()
-        assert "head0.trans" in named and "head1.trans" not in named
-
     def test_same_seed_same_parameters(self):
         a = init_params(small_config(), 20, np.random.default_rng(4))
         b = init_params(small_config(), 20, np.random.default_rng(4))

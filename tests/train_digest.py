@@ -1,4 +1,4 @@
-"""Bit-identity probe: sha256 of the checkpoint and the JSONL log of two short trainings.
+"""Bit-identity probe: sha256 of the checkpoint, the JSONL log and the parameters of two short trainings.
 
 Run from the repository root:
 
@@ -8,8 +8,10 @@ Each run trains ``SYN_CONFIG`` from ``test_acceptance`` for 3 epochs, once as
 it is and once with ``gru_layers=2``, on the acceptance training corpus
 (generator seed 11, 500 instances, clauses (2, 3)). The corpus is split with
 ``split_train_dev`` at the config seed, the decay length is taken from train
-plus dev, and the fake clock makes the log reproducible. Two trees that train
-the same bits print the same four lines; pytest does not collect this file.
+plus dev, and the fake clock makes the log reproducible. The tensors digest covers each
+``named_tensors()`` name and its float64 bytes, so it stays put when only the
+checkpoint's config block changes. Two trees that train the same bits print
+the same six lines; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -44,7 +46,15 @@ RUNS = {
 }
 
 
-def digests(overrides: dict, corpus_path: Path) -> tuple[str, str]:
+def tensors_digest(named: dict) -> str:
+    h = hashlib.sha256()
+    for name, tensor in named.items():
+        h.update(name.encode("utf-8") + b"\0")
+        h.update(tensor.data.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def digests(overrides: dict, corpus_path: Path) -> tuple[str, str, str]:
     config = RunConfig(**overrides)
     instances, vocab, _ = parse_corpus(corpus_path)
     train_set, dev_set = split_train_dev(instances, seed=config.seed)
@@ -53,7 +63,11 @@ def digests(overrides: dict, corpus_path: Path) -> tuple[str, str]:
     meta = build_meta(result.max_len, result.dev_accuracy, result.dev_macro_f1,
                       result.best_epoch, vocab, result.params.pretrained_mask)
     blob = serialize(result.params, config, vocab, meta)
-    return hashlib.sha256(blob).hexdigest(), hashlib.sha256(log.getvalue().encode()).hexdigest()
+    return (
+        hashlib.sha256(blob).hexdigest(),
+        hashlib.sha256(log.getvalue().encode()).hexdigest(),
+        tensors_digest(result.params.named_tensors()),
+    )
 
 
 def main() -> None:
@@ -63,9 +77,10 @@ def main() -> None:
             SYN_TRAIN_SIZE, np.random.default_rng(SYN_TRAIN_SEED),
             min_clauses=SYN_TRAIN_CLAUSES[0], max_clauses=SYN_TRAIN_CLAUSES[1]))
         for name, overrides in RUNS.items():
-            ckpt, log = digests(overrides, corpus_path)
+            ckpt, log, tensors = digests(overrides, corpus_path)
             print(f"{name} checkpoint {ckpt}")
             print(f"{name} log {log}")
+            print(f"{name} tensors {tensors}")
 
 
 if __name__ == "__main__":
