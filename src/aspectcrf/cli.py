@@ -2,14 +2,15 @@
 
 Every command is deterministic given its arguments plus the config seed.
 Failures print a single ``category: message`` line to stderr and exit
-nonzero; nothing is partially written (checkpoints are saved atomically
-after training finishes, and the epoch log takes its name only once the
-checkpoint is saved).
+nonzero; nothing is partially written (the checkpoint and the epoch log of
+``train`` are written to temporary files and moved into place only after
+training finishes).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, build_meta, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, build_meta, load_checkpoint, serialize
 from .config import ConfigError, RunConfig
 from .data import (
     AspectInstance,
@@ -90,9 +91,16 @@ def cmd_train(args) -> int:
         cfg = cfg.replace(seed=args.seed)
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    # the log is written beside its target and renamed after the save, so a
-    # run that fails or cannot be saved leaves no log and keeps an older one
+    if log_path.resolve() == out.resolve():
+        raise ConfigError(f"--log and --out both name {out}")
+    for target in (out, log_path):
+        if target.is_dir():  # a file cannot replace it; fail before training
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    # both files are written beside their targets and moved into place after
+    # training, log first: a run that fails leaves neither, and one whose log
+    # cannot be placed keeps any older checkpoint
     log_tmp = log_path.with_name(log_path.name + ".tmp")
+    out_tmp = out.with_name(out.name + ".tmp")
     try:
         result, _, report = _train_once(cfg, log_tmp)
         meta = build_meta(
@@ -103,10 +111,12 @@ def cmd_train(args) -> int:
             result.vocab,
             result.params.pretrained_mask,
         )
-        save_checkpoint(out, result.params, cfg, result.vocab, meta)
+        out_tmp.write_bytes(serialize(result.params, cfg, result.vocab, meta))
         os.replace(log_tmp, log_path)
+        os.replace(out_tmp, out)
     except BaseException:
         log_tmp.unlink(missing_ok=True)
+        out_tmp.unlink(missing_ok=True)
         raise
     print(f"# {report}")
     print(f"# best epoch {result.best_epoch} of {result.epochs_run}; checkpoint {out}; log {log_path}")

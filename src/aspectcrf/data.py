@@ -332,6 +332,10 @@ class EmbeddingMatrix:
         self.coverage = float(self.pretrained.sum()) / denom if denom > 0 else 0.0
 
 
+# a token that ends in a space and a number: the line holds more than dim values
+_NUMBER_END = re.compile(r" [-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:nan|inf(?:inity)?))$")
+
+
 def load_embeddings(
     path: str | Path,
     vocab: Vocabulary,
@@ -342,7 +346,8 @@ def load_embeddings(
 
     The last ``dim`` space-separated fields of a line are its vector and
     everything before them is its token, so a token may hold spaces; trailing
-    whitespace is ignored, and a line with fewer fields fails.
+    whitespace is ignored. A line fails when it has fewer fields, or when its
+    token's last word is a number: that line holds more than ``dim`` values.
 
     Vocabulary rows found in the file are copied bit-for-bit and must be
     finite numbers (only those rows are parsed); all others are
@@ -356,13 +361,14 @@ def load_embeddings(
     pretrained = np.zeros(len(vocab), dtype=bool)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in _utf8_lines(fh, path):
-            parts = line.rstrip().rsplit(" ", dim)
+            line = line.rstrip()
+            parts = line.rsplit(" ", dim)
             if len(parts) < 2:
                 continue
             token = parts[0]
-            if len(parts) != dim + 1:
+            if len(parts) != dim + 1 or _NUMBER_END.search(token):
                 raise CorpusFormatError(
-                    f"{path}: line {lineno} has {len(parts) - 1} values, expected {dim}"
+                    f"{path}: line {lineno} has {line.count(' ')} values, expected {dim}"
                 )
             if token in vocab:
                 try:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +290,7 @@ class TestStats:
 
 class TestErrorSurface:
     def test_out_directory_leaves_no_temp_file(self, workdir, capsys):
-        # training finishes, then moving the checkpoint onto a directory fails
+        # a directory at --out is refused before training
         out = workdir / "outdir"
         out.mkdir()
         code = main(["train", "--config", str(workdir / "run.json"), "--out", str(out),
@@ -306,6 +308,53 @@ class TestErrorSurface:
         assert_one_error_line(capsys, "path-error")
         assert older.read_bytes() == b'{"epoch": 7}\n'
         assert list(workdir.glob("*.tmp")) == [] and list(out.iterdir()) == []
+
+    def test_log_directory_keeps_older_checkpoint(self, workdir, capsys):
+        logdir = workdir / "logdir"
+        logdir.mkdir()
+        out = workdir / "never.acrf"
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(out),
+                     "--log", str(logdir)])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+        assert not out.exists() and list(workdir.glob("*.tmp")) == []
+        older = workdir / "older.acrf"
+        older.write_bytes(b"older checkpoint")
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(older),
+                     "--log", str(logdir)])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+        assert older.read_bytes() == b"older checkpoint"
+        assert list(workdir.glob("*.tmp")) == [] and list(logdir.iterdir()) == []
+
+    def test_log_placed_before_checkpoint(self, workdir, capsys, monkeypatch):
+        # when the log cannot take its name after training, the checkpoint
+        # has not been touched yet
+        older = workdir / "placed.acrf"
+        older.write_bytes(b"older checkpoint")
+        log = workdir / "placed.log.jsonl"
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == log:
+                raise PermissionError(13, "Permission denied", str(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(older),
+                     "--log", str(log)])
+        assert code == 1
+        assert_one_error_line(capsys, "path-error")
+        assert older.read_bytes() == b"older checkpoint" and not log.exists()
+        assert list(workdir.glob("*.tmp")) == []
+
+    def test_same_log_and_out_refused(self, workdir, capsys):
+        out = workdir / "same.acrf"
+        code = main(["train", "--config", str(workdir / "run.json"), "--out", str(out),
+                     "--log", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "config-error")
+        assert not out.exists()
 
     def test_missing_config_file(self, workdir, capsys):
         code = main(["train", "--config", str(workdir / "none.json"), "--out",

@@ -415,6 +415,25 @@ class TestLoadEmbeddings:
         with pytest.raises(CorpusFormatError, match="line 2 has 1 values, expected 2"):
             load_embeddings(path, Vocabulary(), np.random.default_rng(0), dim=2)
 
+    @pytest.mark.parametrize("lines,lineno", [(["pizza 1.0 2.0 3.0"], 1),
+                                              (["menu 1.0 2.0", "pizza 1.0 2.0 3.0"], 2)])
+    def test_too_wide_line_fails(self, tmp_path, lines, lineno):
+        # the extra value would otherwise read as the end of a spaced token
+        vocab = Vocabulary()
+        vocab.add("pizza")
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=f"line {lineno} has 3 values, expected 2"):
+            load_embeddings(path, vocab, np.random.default_rng(0), dim=2)
+
+    def test_numeric_token_loads(self, tmp_path):
+        vocab = Vocabulary()
+        vocab.add("1999")
+        path = tmp_path / "vecs.txt"
+        path.write_text("1999 0.5 -0.5\n", encoding="utf-8")
+        emb = load_embeddings(path, vocab, np.random.default_rng(0), dim=2)
+        npt.assert_array_equal(emb.matrix[2], [0.5, -0.5])
+
     def test_wrong_width_names_line(self, tmp_path):
         vocab = Vocabulary()
         path = tmp_path / "vecs.txt"
