@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,13 +32,13 @@ __all__ = [
     "concat",
     "stack",
     "reshape",
-    "reduce_sum",
-    "mean",
+    "transpose",
     "softmax_weights",
     "nll",
     "bigru",
     "crf_marginals",
-    "dropout_mask",
+    "pool",
+    "dropout_masks",
 ]
 
 
@@ -193,6 +193,23 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backward, op: str) -> 
     return out
 
 
+# Past a few hundred terms, OpenBLAS cuts a product's inner dimension into
+# blocks that depend on its thread count, which moves the last bits of the
+# sums. Longer inner dimensions are therefore summed here in fixed chunks, so
+# that no result depends on the number of BLAS threads.
+_INNER_CHUNK = 256
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands, summed over the inner dimension in chunks of _INNER_CHUNK."""
+    if a.shape[1] <= _INNER_CHUNK:
+        return a @ b
+    out = a[:, :_INNER_CHUNK] @ b[:_INNER_CHUNK]
+    for lo in range(_INNER_CHUNK, a.shape[1], _INNER_CHUNK):
+        out += a[:, lo : lo + _INNER_CHUNK] @ b[lo : lo + _INNER_CHUNK]
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     if g.shape == shape:
@@ -236,8 +253,7 @@ def matmul(a, b) -> Tensor:
     b2 = b.data if b.ndim == 2 else b.data[:, None]
     if a2.shape[1] != b2.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out2 = a2 @ b2
-    out_data = out2
+    out_data = _dot(a2, b2)
     if b.ndim == 1:
         out_data = out_data[:, 0]
     if a.ndim == 1:
@@ -245,8 +261,8 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
-        ga = g2 @ b2.T
-        gb = a2.T @ g2
+        ga = _dot(g2, b2.T)
+        gb = _dot(a2.T, g2)
         _accumulate(a, ga[0] if a.ndim == 1 else ga)
         _accumulate(b, gb[:, 0] if b.ndim == 1 else gb)
 
@@ -321,26 +337,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), backward, "reshape")
 
 
-def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    out_data = np.asarray(out_data)
-
-    def backward(g):
-        g_keep = np.asarray(g)
-        if not keepdims and axis is not None:
-            g_keep = np.expand_dims(g_keep, axis=axis)
-        _accumulate(a, np.broadcast_to(g_keep, a.shape).copy())
-
-    return _make(out_data, (a,), backward, "reduce_sum")
-
-
-def mean(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis=axis), 1.0 / count)
-
-
 def softmax_weights(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax of a plain array along ``axis``, shifted by the maximum first."""
     w = np.exp(x - x.max(axis=axis, keepdims=True))
@@ -385,12 +381,72 @@ def nll(logits: Tensor, gold_ids) -> Tensor:
     return _make(out_data, (logits,), backward, "nll")
 
 
-def bigru(x: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor]) -> Tensor:
-    """One bidirectional GRU layer over a sentence, gates in (reset, update, candidate) order.
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a 2-D tensor."""
+    if a.ndim != 2:
+        raise DimensionError(f"transpose needs a 2-D tensor, got {a.shape}")
 
-    ``x`` is n x d, and ``fwd`` and ``bwd`` are each (w_ih d x 3H, w_hh H x 3H,
-    b_ih 3H, b_hh 3H). Per direction, xp = x @ w_ih + b_ih, and from h = 0
-    each step t (first to last forward, last to first backward) computes
+    def backward(g):
+        _accumulate(a, g.T)
+
+    return _make(a.data.T, (a,), backward, "transpose")
+
+
+class _Packed(NamedTuple):
+    """Sentences laid out step-major, longest first, as PyTorch's ``pack_padded_sequence`` lays them.
+
+    Step s holds one row for each of the ``sizes[s]`` sentences longer than s,
+    at packed rows ``bounds[s]:bounds[s + 1]``, in the same sentence order at
+    every step. So the sentences a step continues are a prefix of the previous
+    step's, and no step is padded. Packed row p reads token row ``fwd[p]`` when
+    the sentences run first to last and ``bwd[p]`` when they run last to first.
+    """
+
+    sizes: list[int]
+    bounds: list[int]
+    fwd: np.ndarray | slice
+    bwd: np.ndarray | slice
+    last: np.ndarray | slice  # sentence slot -> packed row of its last token
+    slot: np.ndarray  # packed row -> its sentence slot
+
+
+def _checked_lengths(lengths, rows: int, op: str) -> np.ndarray:
+    """Sentence lengths as an array, checked to be positive integers that cover the ``rows`` token rows."""
+    lengths = np.asarray(lengths)
+    if (lengths.ndim != 1 or lengths.size < 1 or lengths.dtype.kind not in "iu" or lengths.min() < 1
+            or lengths.sum() != rows):
+        raise DimensionError(f"{op} expects positive integer lengths summing to the {rows} rows, got {lengths}")
+    return lengths
+
+
+def _pack(lengths, rows: int, op: str) -> _Packed:
+    """Packing of ``rows`` token rows into sentences of ``lengths``; None is one sentence of all rows."""
+    if lengths is None:
+        # one sentence: the packed rows are the token rows, and slices index them without copies
+        return _Packed([1] * rows, list(range(rows + 1)), slice(None), slice(None, None, -1), slice(rows - 1, rows),
+                       np.zeros(rows, dtype=np.intp))
+    lengths = _checked_lengths(lengths, rows, op)
+    order = np.argsort(-lengths, kind="stable")
+    longest = lengths[order]
+    active = np.arange(longest[0])[:, None] < longest  # step x slot
+    step, slot = np.nonzero(active)  # row-major, so step by step
+    sizes = active.sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    first = (np.cumsum(lengths) - lengths)[order][slot]  # each packed row's sentence start
+    return _Packed(
+        sizes.tolist(), bounds.tolist(), first + step, first + longest[slot] - 1 - step,
+        bounds[longest - 1] + np.arange(longest.size), slot,
+    )
+
+
+def bigru(x: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
+    """One bidirectional GRU layer over a batch of sentences, gates in (reset, update, candidate) order.
+
+    ``x`` is N x d: the batch's token rows, sentence after sentence, with
+    ``lengths`` the sentence lengths (None: one sentence of all N rows).
+    ``fwd`` and ``bwd`` are each (w_ih d x 3H, w_hh H x 3H, b_ih 3H, b_hh 3H).
+    Per direction, xp = x @ w_ih + b_ih, and per sentence from h = 0 each step
+    t (first to last forward, last to first backward) computes
 
         hp = h @ w_hh + b_hh
         r  = sigmoid(xp[t, 0:H]  + hp[0:H])
@@ -398,11 +454,14 @@ def bigru(x: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor]) -> Tensor:
         c  = tanh(xp[t, 2H:] + r * hp[2H:])
         h' = (1 - u) * c + u * h
 
-    Returns the n x 2H states [forward_t ; backward_t] in sentence order. One
-    loop advances both directions, and one tape entry covers the layer. The
-    adjoint is backprop through time (Werbos 1990) with hand-derived per-step
-    terms; it equals the per-direction composition bit for bit and is pinned
-    against the primitive composition in the tests.
+    Returns the N x 2H states [forward_t ; backward_t] in token order. The
+    rows are packed (see ``_Packed``), so step s advances only the sentences
+    still running, both directions in one product over a 2 x H x 3H stack, and
+    each sentence's backward chain starts at its own last token. One tape
+    entry covers the layer. The adjoint is backprop through time (Werbos
+    1990) with hand-derived per-step terms; for one sentence it equals the
+    per-direction composition bit for bit, and batches are pinned against
+    per-sentence calls in the tests.
     """
     H = fwd[1].shape[0] if fwd[1].ndim else 0
     want = [(x.shape[-1] if x.ndim else 0, 3 * H), (H, 3 * H), (3 * H,), (3 * H,)]
@@ -412,79 +471,96 @@ def bigru(x: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor]) -> Tensor:
             f"b_hh (3H,), got {x.shape}, {[t.shape for t in fwd]}, {[t.shape for t in bwd]}"
         )
     n = x.shape[0]
-    W = (fwd[1].data, bwd[1].data)  # w_hh
-    b = np.stack((fwd[3].data, bwd[3].data))  # b_hh
-    # xp in step order (step s: position s forward, n - 1 - s backward); axis 1 is the direction
-    X = np.stack((x.data @ fwd[0].data + fwd[2].data, (x.data @ bwd[0].data + bwd[2].data)[::-1]), axis=1)
-    states = np.empty((n, 2, H))
-    prev = np.empty((n, 2, H))  # the state each step started from
-    ru = np.empty((n, 2, 2 * H))
-    c = np.empty((n, 2, H))
-    hp_c = np.empty((n, 2, H))
-    h = np.zeros((2, H))
-    hp = np.empty((2, 3 * H))
-    for s in range(n):
-        prev[s] = h
-        hp[0], hp[1] = h[0] @ W[0], h[1] @ W[1]
+    pack = _pack(lengths, n, "bigru")
+    steps = list(zip(pack.bounds, pack.bounds[1:]))
+    W = np.stack((fwd[1].data, bwd[1].data))  # w_hh, 2 x H x 3H
+    b = np.stack((fwd[3].data, bwd[3].data))[:, None]  # b_hh
+    X = np.empty((2, n, 3 * H))  # xp of each packed row, directions first
+    for k, (w_ih, _, b_ih, _), rows in ((0, fwd, pack.fwd), (1, bwd, pack.bwd)):
+        xp = _dot(x.data, w_ih.data)
+        xp += b_ih.data
+        X[k] = xp[rows]
+    # per step, directions first: the state it started from, (r, u), c and hp[2H:],
+    # kept only when a tape records the op
+    saved = [] if _active_tape() is not None and any(t.requires_grad for t in (x, *fwd, *bwd)) else None
+    states = []
+    h = np.zeros((2, pack.sizes[0], H))
+    for lo, hi in steps:
+        h = h[:, : hi - lo]
+        hp = np.matmul(h, W)
         hp += b
-        ru[s] = 1.0 / (1.0 + np.exp(-(X[s, :, : 2 * H] + hp[:, : 2 * H])))
-        hp_c[s] = hp[:, 2 * H :]
-        c[s] = np.tanh(X[s, :, 2 * H :] + ru[s, :, :H] * hp_c[s])
-        h = states[s] = (1.0 - ru[s, :, H:]) * c[s] + ru[s, :, H:] * h
-    r, u = ru[..., :H], ru[..., H:]
+        xs = X[:, lo:hi]
+        gates = 1.0 / (1.0 + np.exp(-(xs[..., : 2 * H] + hp[..., : 2 * H])))
+        hc = hp[..., 2 * H :]
+        c = np.tanh(xs[..., 2 * H :] + gates[..., :H] * hc)
+        if saved is not None:
+            saved.append((h, gates, c, hc.copy()))  # a copy, so the rest of hp is freed
+        u = gates[..., H:]
+        h = (1.0 - u) * c + u * h
+        states.append(h)
+    states = np.concatenate(states, axis=1)
 
     def backward(g):
-        G = np.stack((g[:, :H], g[::-1, H:]), axis=1)  # upstream in step order
-        # g_hp[s] is the gradient into step s's hidden projection hp
-        g_hp = np.empty((n, 2, 3 * H))
-        g_xc = np.empty((n, 2, H))
-        carry = np.zeros((2, H))
-        w_g = np.empty((2, H))
-        for s in range(n - 1, -1, -1):
-            gh = G[s] + carry
-            g_hp[s, :, H : 2 * H] = gh * (prev[s] - c[s]) * u[s] * (1.0 - u[s])
-            g_xc[s] = gh * (1.0 - u[s]) * (1.0 - c[s] * c[s])
-            g_hp[s, :, :H] = g_xc[s] * hp_c[s] * r[s] * (1.0 - r[s])
-            g_hp[s, :, 2 * H :] = g_xc[s] * r[s]
-            w_g[0], w_g[1] = W[0] @ g_hp[s, 0], W[1] @ g_hp[s, 1]
-            carry = gh * u[s] + w_g
-        # per direction in sentence order, backward first as the per-direction tape ran
-        for k, (w_ih, w_hh, b_ih, b_hh), order in ((1, bwd, slice(None, None, -1)), (0, fwd, slice(None))):
-            g_h = np.ascontiguousarray(g_hp[order, k])
+        G = np.stack((g[pack.fwd, :H], g[pack.bwd, H:]))  # upstream per packed row
+        # g_hp[:, p] is the gradient into packed row p's hidden projection hp
+        g_hp, g_xc = np.empty((2, n, 3 * H)), np.empty((2, n, H))
+        carry = np.zeros((2, pack.sizes[0], H))  # a sentence's carry is 0 at its last step
+        for (lo, hi), (h_s, ru, c, hc) in zip(reversed(steps), reversed(saved)):
+            r, u = ru[..., :H], ru[..., H:]
+            gh = G[:, lo:hi] + carry[:, : hi - lo]
+            xc = g_xc[:, lo:hi] = gh * (1.0 - u) * (1.0 - c * c)
+            gp = g_hp[:, lo:hi] = np.concatenate(
+                (xc * hc * r * (1.0 - r), gh * (h_s - c) * u * (1.0 - u), xc * r), axis=-1
+            )
+            carry[:, : hi - lo] = gh * u + np.matmul(W, gp.transpose(0, 2, 1)).transpose(0, 2, 1)
+        h_in = np.concatenate([step[0] for step in saved], axis=1)
+        # per direction in token order, backward first as the per-direction tape ran
+        for k, (w_ih, w_hh, b_ih, b_hh), rows in ((1, bwd, pack.bwd), (0, fwd, pack.fwd)):
+            g_h = np.empty((n, 3 * H))
+            g_h[rows] = g_hp[k]
             g_x = g_h.copy()
-            g_x[:, 2 * H :] = g_xc[order, k]
-            _accumulate(w_hh, np.ascontiguousarray(prev[order, k]).T @ g_h)
+            g_x[rows, 2 * H :] = g_xc[k]
+            h_k = np.empty((n, H))
+            h_k[rows] = h_in[k]
+            _accumulate(w_hh, _dot(h_k.T, g_h))
             _accumulate(b_hh, g_h.sum(axis=0))
             _accumulate(b_ih, g_x.sum(axis=0))
-            _accumulate(x, g_x @ w_ih.data.T)
-            _accumulate(w_ih, x.data.T @ g_x)
+            _accumulate(x, _dot(g_x, w_ih.data.T))
+            _accumulate(w_ih, _dot(x.data.T, g_x))
 
-    out = np.concatenate((states[:, 0], states[::-1, 1]), axis=1)
+    out = np.empty((n, 2 * H))
+    out[pack.fwd, :H] = states[0]
+    out[pack.bwd, H:] = states[1]
     return _make(out, (x, *fwd, *bwd), backward, "bigru")
 
 
-def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tensor:
+def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor, lengths=None) -> Tensor:
     """Fused two-label linear-chain CRFs: P(z_t = 0 | x) for every chain and position.
 
-    ``e`` holds the emission scores, n x ... x 2 with positions first; any
-    axes between positions and labels index independent chains (the heads of
-    the multi-head attention). Per chain, ``trans[..., a, b]`` scores a -> b
-    and ``start``/``end`` (... x 2) score the moves from START and into END.
-    The forward runs the forward-backward recursions in numpy, in log space,
-    for all chains at once:
+    ``e`` holds the emission scores, N x ... x 2: the batch's token rows,
+    sentence after sentence, with ``lengths`` the sentence lengths (None: one
+    sentence of all N rows). Any axes between rows and labels index
+    independent chains (the heads of the multi-head attention). Per chain,
+    ``trans[..., a, b]`` scores a -> b and ``start``/``end`` (... x 2) score
+    the moves from START and into END; every sentence shares them. The forward
+    runs the forward-backward recursions in numpy, in log space, for all
+    chains and sentences at once:
 
         alpha_0 = start + e_0,  alpha_t[b] = lse_a(alpha_{t-1}[a] + T[a, b]) + e_t[b]
         beta_{n-1} = end,       beta_t[a] = lse_b(T[a, b] + e_{t+1}[b] + beta_{t+1}[b])
         log Z = lse(alpha_{n-1} + end),  P(z_t = y | x) = exp(alpha_t[y] + beta_t[y] - log Z)
 
-    and returns the label-0 marginals with positions last, ... x n. A single
-    chain is the call without chain axes: n x 2 emissions give n marginals.
+    with n each sentence's own length, and returns the label-0 marginals with
+    rows last, ... x N. The rows are packed (see ``_Packed``), so each step
+    advances only the sentences still running, and each beta recursion and
+    log Z start at the sentence's own last token. A single chain is the call
+    without chain axes: N x 2 emissions give N marginals.
 
     One tape entry for all chains. The adjoint is reverse mode through both
     recursions (Eisner 2016, "Inside-Outside and Forward-Backward Algorithms
     Are Just Backprop"), so gradients reach all four inputs through log Z as
     well as through alpha and beta. It is pinned against the primitive
-    composition in the tests.
+    composition and against per-sentence calls in the tests.
     """
     chains = e.shape[1:-1]
     if e.ndim < 2 or e.shape[0] < 1 or e.shape[-1] != 2:
@@ -494,55 +570,116 @@ def crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tenso
             f"crf_marginals expects trans {chains + (2, 2)}, start and end {chains + (2,)} "
             f"for emissions {e.shape}, got {trans.shape}, {start.shape}, {end.shape}"
         )
-    E, T = e.data, trans.data
-    n = E.shape[0]
-    alpha = np.empty(E.shape)
-    beta = np.empty(E.shape)
-    alpha[0] = start.data + E[0]
-    for t in range(1, n):
-        moved = np.logaddexp(alpha[t - 1, ..., 0, None] + T[..., 0, :], alpha[t - 1, ..., 1, None] + T[..., 1, :])
-        alpha[t] = moved + E[t]
-    beta[-1] = end.data
-    for t in range(n - 2, -1, -1):
-        ahead = E[t + 1] + beta[t + 1]
-        beta[t] = np.logaddexp(T[..., 0] + ahead[..., 0, None], T[..., 1] + ahead[..., 1, None])
-    last = alpha[-1] + end.data
+    T = trans.data
+    n = e.shape[0]
+    pack = _pack(lengths, n, "crf_marginals")
+    steps = list(zip(pack.bounds, pack.bounds[1:]))
+    first = pack.sizes[0]  # rows of step 0, one per sentence
+    E = e.data[pack.fwd]
+    alpha = [start.data + E[:first]]  # per step
+    for lo, hi in steps[1:]:
+        moves = alpha[-1][: hi - lo, ..., None] + T  # [.., a, b] = alpha[a] + T[a, b]
+        alpha.append(np.logaddexp(moves[..., 0, :], moves[..., 1, :]) + E[lo:hi])
+    alpha = np.concatenate(alpha)
+    ends = np.repeat(end.data[None], first, axis=0)
+    beta = [ends[: pack.sizes[-1]]]  # per step, last first
+    for lo, hi in steps[-2::-1]:
+        moves = T + (E[hi : hi + len(beta[-1])] + beta[-1])[..., None, :]  # [.., a, b] = T[a, b] + E[b] + beta[b]
+        moved = np.logaddexp(moves[..., 0], moves[..., 1])
+        # the sentences that end at this step start their beta from end
+        beta.append(moved if len(moved) == hi - lo else np.concatenate((moved, ends[len(moved) : hi - lo])))
+    beta = np.concatenate(beta[::-1])
+    last = alpha[pack.last] + end.data  # per sentence slot
     log_z = np.logaddexp(last[..., 0], last[..., 1])
-    yes = np.exp(alpha[..., 0] + beta[..., 0] - log_z)  # n x ...
+    yes = np.exp(alpha[..., 0] + beta[..., 0] - log_z[pack.slot])  # packed rows x ...
 
     def backward(g):
+        # every row p after step 0 continues row pred[p - first]
+        pred = np.arange(first, n) - np.repeat(np.array(pack.sizes[:-1], dtype=np.intp), pack.sizes[1:])
         # yes = exp(alpha[.., 0] + beta[.., 0] - log Z): adjoint of that exponent
-        g_s = np.moveaxis(g, -1, 0) * yes
-        # -g_s summed over positions is log Z's adjoint, spread over
-        # alpha_{n-1} + end by its lse weights
-        g_last = -g_s.sum(axis=0)[..., None] * softmax_weights(last, axis=-1)
+        g_s = np.moveaxis(g, -1, 0)[pack.fwd] * yes
+        # -g_s summed over a sentence's rows is its log Z's adjoint, spread
+        # over alpha_{n-1} + end by its lse weights
+        g_log_z = np.zeros(log_z.shape)
+        np.add.at(g_log_z, pack.slot, g_s)
+        g_last = -g_log_z[..., None] * softmax_weights(last, axis=-1)
         g_beta = np.zeros(E.shape)
         g_beta[..., 0] = g_s
         g_alpha = g_beta.copy()
-        g_alpha[-1] += g_last
+        g_alpha[pack.last] += g_last
         # lse weights of every step, normalised as softmaxes so that each set
-        # sums to one: fwd[t-1, .., a, b] = d alpha_t[b] / d alpha_{t-1}[a],
-        # bwd[t, .., a, b] = d beta_t[a] / d beta_{t+1}[b]
-        fwd = softmax_weights(alpha[:-1, ..., :, None] + T, axis=-2)
-        bwd = softmax_weights(T + (E[1:] + beta[1:])[..., None, :], axis=-1)
-        for t in range(n - 1):
-            g_beta[t + 1] += (g_beta[t][..., None, :] @ bwd[t])[..., 0, :]
-        for t in range(n - 1, 0, -1):
-            g_alpha[t - 1] += (fwd[t - 1] @ g_alpha[t][..., None])[..., 0]
+        # sums to one, per row p after step 0: fwd[p, .., a, b] = d alpha_p[b] /
+        # d alpha_pred[a], bwd[p, .., a, b] = d beta_pred[a] / d beta_p[b]
+        fwd = softmax_weights(alpha[pred][..., :, None] + T, axis=-2)
+        bwd = softmax_weights(T + (E[first:] + beta[first:])[..., None, :], axis=-1)
+        for (p_lo, _), (lo, hi) in zip(steps, steps[1:]):
+            g_beta[lo:hi] += (g_beta[p_lo : p_lo + hi - lo][..., None, :] @ bwd[lo - first : hi - first])[..., 0, :]
+        for (p_lo, _), (lo, hi) in zip(reversed(steps[:-1]), reversed(steps[1:])):
+            g_alpha[p_lo : p_lo + hi - lo] += (fwd[lo - first : hi - first] @ g_alpha[lo:hi][..., None])[..., 0]
         g_e = g_alpha.copy()
-        g_e[1:] += np.einsum("t...a,t...ab->t...b", g_beta[:-1], bwd)
-        g_trans = np.einsum("t...ab,t...b->...ab", fwd, g_alpha[1:]) + np.einsum("t...a,t...ab->...ab", g_beta[:-1], bwd)
-        _accumulate(e, g_e)
+        g_e[first:] += np.einsum("t...a,t...ab->t...b", g_beta[pred], bwd)
+        g_trans = np.einsum("t...ab,t...b->...ab", fwd, g_alpha[first:]) + np.einsum(
+            "t...a,t...ab->...ab", g_beta[pred], bwd
+        )
+        g_rows = np.empty(E.shape)
+        g_rows[pack.fwd] = g_e
+        _accumulate(e, g_rows)
         _accumulate(trans, g_trans)
-        _accumulate(start, g_alpha[0])
-        _accumulate(end, g_last + g_beta[-1])
+        _accumulate(start, g_alpha[:first].sum(axis=0))
+        _accumulate(end, g_last.sum(axis=0) + g_beta[pack.last].sum(axis=0))
 
-    return _make(np.ascontiguousarray(np.moveaxis(yes, 0, -1)), (e, trans, start, end), backward, "crf_marginals")
+    out = np.empty(yes.shape)
+    out[pack.fwd] = yes
+    return _make(np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0)), (e, trans, start, end), backward,
+                 "crf_marginals")
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted-dropout mask: entries are 0 or 1/(1-p). p=0 is an identity mask."""
+def pool(weights: Tensor, x: Tensor, lengths=None) -> Tensor:
+    """Weighted sums of each sentence's rows: out[b, k] = sum_t weights[k, t] x[t] over sentence b's rows t.
+
+    ``weights`` is K x N and ``x`` N x R, both over the batch's token rows,
+    sentence after sentence, with ``lengths`` the sentence lengths. Returns
+    B x KR, each sentence's K pooled vectors concatenated; without lengths
+    all rows are one sentence and the result is the KR vector. One tape entry
+    for the batch, one K x n @ n x R product per sentence.
+    """
+    if weights.ndim != 2 or x.ndim != 2 or weights.shape[1] != x.shape[0] or x.shape[0] < 1:
+        raise DimensionError(f"pool expects K x N weights and N x R rows, N >= 1, got {weights.shape} and {x.shape}")
+    if lengths is None:
+        rows = [slice(None)]
+    else:
+        ends = np.cumsum(_checked_lengths(lengths, x.shape[0], "pool")).tolist()
+        rows = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+    W, X = weights.data, x.data
+    out = np.empty((len(rows), W.shape[0], X.shape[1]))
+    for b, t in enumerate(rows):
+        out[b] = _dot(W[:, t], X[t])
+
+    def backward(g):
+        g_w, g_x = np.empty(W.shape), np.empty(X.shape)
+        for g_b, t in zip(g.reshape(out.shape), rows):
+            g_w[:, t] = g_b @ X[t].T
+            g_x[t] = W[:, t].T @ g_b
+        _accumulate(weights, g_w)
+        _accumulate(x, g_x)
+
+    pooled = out.reshape(out[0].size) if lengths is None else out.reshape(len(rows), -1)
+    return _make(pooled, (weights, x), backward, "pool")
+
+
+def dropout_masks(lengths, widths, p: float, rng: np.random.Generator) -> list[Tensor]:
+    """Inverted-dropout masks over the rows of sentences of ``lengths``, one per width: entries are 0 or 1/(1-p).
+
+    The uniforms are drawn sentence by sentence and, within a sentence, mask
+    by mask, so a batch draws what forwarding its sentences one at a time
+    draws. p=0 gives identity masks.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {p}")
-    keep = rng.random(shape) >= p
-    return Tensor(keep.astype(np.float64) / (1.0 - p))
+    uniforms = [np.empty((sum(lengths), w)) for w in widths]
+    lo = 0
+    for n in lengths:
+        for u in uniforms:
+            rng.random(out=u[lo : lo + n])
+        lo += n
+    return [Tensor((u >= p) / (1.0 - p)) for u in uniforms]

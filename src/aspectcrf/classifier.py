@@ -25,7 +25,8 @@ def init_classifier(q_dim: int, rng: np.random.Generator) -> ClassifierParams:
 
 
 def logits(q: Tensor, params: ClassifierParams) -> Tensor:
-    return ad.add(ad.matmul(params.w, q), params.b)
+    """W q + b: 3 logits for a pooled vector q, or B x 3 for a B x q_dim batch."""
+    return ad.add(ad.matmul(q, ad.transpose(params.w)), params.b)
 
 
 @dataclass

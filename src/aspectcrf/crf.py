@@ -10,9 +10,10 @@ Emissions E come from a per-head linear layer on the decayed representations
 r_t. The partition function and the posterior marginals P(z_t = Yes | x) are
 computed exactly by the forward-backward recursions in log space, fused into
 one tape op (``autodiff.crf_marginals``, which returns the marginals of label
-0, hence YES = 0) whose adjoint reaches both potentials. All heads run as one
-batched call of that op. The marginals weight r_t into one pooled vector per
-head; heads are concatenated in fixed order.
+0, hence YES = 0) whose adjoint reaches both potentials. All heads and all
+sentences of a batch run as one call of that op. The marginals weight r_t
+into one pooled vector per head and sentence; heads are concatenated in fixed
+order.
 
 A brute-force enumerator over all 2^n sequences serves as the reference
 implementation for testing; it shares no code with the dynamic program.
@@ -67,30 +68,31 @@ def emissions(r: Tensor, head: CrfHeadParams) -> Tensor:
     return ad.add(ad.matmul(r, head.w_emit), head.b_emit)
 
 
-def multi_head(r: Tensor, heads: list[CrfHeadParams]) -> tuple[Tensor, Tensor]:
-    """q = [s_1; ...; s_K] with s_k = sum_t P_k(z_t = Yes | x) r_t, plus the K x n marginals.
+def multi_head(r: Tensor, heads: list[CrfHeadParams], lengths=None) -> tuple[Tensor, Tensor]:
+    """q = [s_1; ...; s_K] with s_k = sum_t P_k(z_t = Yes | x) r_t per sentence, plus the K x N marginals.
 
-    All heads run as one batched CRF: their emission layers are concatenated
-    into one n x 2H @ 2H x 2K product, their potentials are stacked, and one
-    ``crf_marginals`` call covers every head, so the tape length does not
-    depend on K. Heads that share transitions stack the same tensor, which
-    then receives each head's gradient.
+    ``r`` holds a batch's token rows, sentence after sentence, with
+    ``lengths`` the sentence lengths; q is then B x 2HK. With ``lengths``
+    None, r is one sentence and q the 2HK vector. All heads run as one
+    batched CRF: their emission layers are concatenated into one N x 2H @
+    2H x 2K product, their potentials are stacked, and one ``crf_marginals``
+    call covers every head and sentence, so the tape length depends on neither
+    K nor the batch.
     """
     if not heads:
         raise ValueError("multi_head needs at least one head")
-    n, rep = r.shape
     k = len(heads)
     w_emit = ad.concat([head.w_emit for head in heads], axis=1)  # 2H x 2K
     b_emit = ad.concat([head.b_emit for head in heads])  # 2K
-    e = ad.reshape(ad.add(ad.matmul(r, w_emit), b_emit), (n, k, 2))
+    e = ad.reshape(ad.add(ad.matmul(r, w_emit), b_emit), (r.shape[0], k, 2))
     yes = ad.crf_marginals(
         e,
         ad.stack([head.trans for head in heads]),
         ad.stack([head.start for head in heads]),
         ad.stack([head.end for head in heads]),
-    )  # K x n
-    q = ad.reshape(ad.matmul(yes, r), (k * rep,))
-    return q, yes
+        lengths,
+    )  # K x N
+    return ad.pool(yes, r, lengths), yes
 
 
 def brute_force_oracle(

@@ -166,19 +166,31 @@ def _make_instance(
     grow_vocab: bool,
     report: DropReport,
     where: str,
+    last: dict[str, list],
 ) -> AspectInstance | None:
+    """One instance, or None when dropped.
+
+    A sentence's aspect terms come one after another, so ``last`` keeps the
+    previous text as {text: [tokens, spans, ids]}; ids are filled in when an
+    instance of it is kept, so the vocabulary grows as with fresh tokenizing.
+    """
     report.aspect_terms += 1
     if polarity == "conflict":
         report.dropped_conflict += 1
         return None
     if polarity not in LABELS:
         raise CorpusFormatError(f"{where}: unknown polarity {polarity!r}")
-    tokens, spans = tokenize(text)
+    entry = last.get(text)
+    if entry is None:
+        last.clear()
+        entry = last[text] = [*tokenize(text), None]
+    tokens, spans, ids = entry
     span = char_span_to_token_span(spans, char_start, char_end)
     if span is None or not tokens:
         report.dropped_unaligned += 1
         return None
-    ids = tuple(vocab.add(t) if grow_vocab else vocab.lookup(t) for t in tokens)
+    if ids is None:
+        ids = entry[2] = tuple(vocab.add(t) if grow_vocab else vocab.lookup(t) for t in tokens)
     report.kept += 1
     return AspectInstance(ids, span[0], span[1], polarity, text)
 
@@ -197,6 +209,7 @@ def _parse_semeval_xml(path: Path, vocab, grow_vocab, report) -> list[AspectInst
         line, col = exc.position
         raise CorpusFormatError(f"{path}: malformed XML at line {line}, column {col}") from exc
     instances = []
+    last: dict[str, list] = {}
     for sentence in root.iter("sentence"):
         text_el = sentence.find("text")
         if text_el is None or text_el.text is None:
@@ -220,7 +233,7 @@ def _parse_semeval_xml(path: Path, vocab, grow_vocab, report) -> list[AspectInst
                 ) from exc
             inst = _make_instance(
                 text, start, end, polarity, vocab, grow_vocab, report,
-                f"{path} sentence {sentence.attrib.get('id', '?')}",
+                f"{path} sentence {sentence.attrib.get('id', '?')}", last,
             )
             if inst is not None:
                 instances.append(inst)
@@ -238,6 +251,7 @@ def _utf8_lines(fh, path: Path):
 
 def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
     instances = []
+    last: dict[str, list] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in _utf8_lines(fh, path):
             if not line.strip():
@@ -263,7 +277,7 @@ def _parse_jsonl(path: Path, vocab, grow_vocab, report) -> list[AspectInstance]:
             report.sentences += 1
             inst = _make_instance(
                 text, start, end, polarity, vocab, grow_vocab, report,
-                f"{path} line {lineno}",
+                f"{path} line {lineno}", last,
             )
             if inst is not None:
                 instances.append(inst)

@@ -47,39 +47,55 @@ def init_gru_direction(d_in: int, hidden: int, rng: np.random.Generator, name: s
     )
 
 
-def bigru_encode(x: Tensor, layers: list[GruLayerParams]) -> Tensor:
-    """Stacked Bi-GRU: returns n x 2H with [forward_t ; backward_t] rows.
+def bigru_encode(x: Tensor, layers: list[GruLayerParams], lengths=None) -> Tensor:
+    """Stacked Bi-GRU: returns N x 2H with [forward_t ; backward_t] rows.
 
-    Initial hidden states are zero; layer l+1 consumes layer l's output.
+    ``x`` holds a batch's token rows, sentence after sentence, and
+    ``lengths`` the sentence lengths (None: x is one sentence). Initial
+    hidden states are zero; layer l+1 consumes layer l's output.
     """
     out = x
     for layer in layers:
-        out = ad.bigru(out, layer.forward, layer.backward)  # one tape entry per layer
+        out = ad.bigru(out, layer.forward, layer.backward, lengths)  # one tape entry per layer
     return out
+
+
+def _row_spans(rows: int, aspect_start, aspect_end, lengths):
+    """Each row's position in its sentence and that sentence's aspect span.
+
+    With ``lengths`` None the rows are one sentence and the span is the two
+    ints; otherwise each sentence has its own span, one entry per sentence.
+    """
+    if lengths is None:
+        return np.arange(rows), aspect_start, aspect_end
+    lengths = np.asarray(lengths)
+    position = np.arange(rows) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return position, np.repeat(aspect_start, lengths), np.repeat(aspect_end, lengths)
 
 
 def embed_input(
     token_ids,
-    aspect_start: int,
-    aspect_end: int,
+    aspect_start,
+    aspect_end,
     embedding: Tensor,
     indicator: Tensor,
     no_aspect_indicator: bool = False,
+    lengths=None,
 ) -> Tensor:
     """Rows of word vector + indicator row (in-aspect iff i <= t <= j).
 
-    The no_aspect_indicator ablation feeds the same shared row to every
-    position, erasing where the aspect is.
+    ``token_ids`` are a batch's sentences concatenated, with ``lengths`` and
+    one aspect span per sentence, or one sentence and its span when
+    ``lengths`` is None. The no_aspect_indicator ablation feeds the same
+    shared row to every position, erasing where the aspect is.
     """
     ids = np.asarray(token_ids, dtype=np.intp)
     words = ad.gather_rows(embedding, ids)
     if no_aspect_indicator:
         ind_rows = np.full(len(ids), IN_ASPECT_ROW, dtype=np.intp)
     else:
-        ind_rows = np.array(
-            [IN_ASPECT_ROW if aspect_start <= t <= aspect_end else OUT_ASPECT_ROW for t in range(len(ids))],
-            dtype=np.intp,
-        )
+        t, i, j = _row_spans(len(ids), aspect_start, aspect_end, lengths)
+        ind_rows = np.where((i <= t) & (t <= j), IN_ASPECT_ROW, OUT_ASPECT_ROW)
     marks = ad.gather_rows(indicator, ind_rows)
     return ad.concat([words, marks], axis=1)
 
@@ -102,26 +118,21 @@ class DecaySpec:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
 
-def decay_weight(t: int, i: int, j: int, spec: DecaySpec) -> float:
+def decay_weight(t, i, j, spec: DecaySpec):
     """Position decay factor in (0, 1]: 1 on [i, j], ((L - d)/L)^gamma outside.
 
     d is the distance to the nearer aspect edge, clamped to L - 1 so the
-    factor stays positive even for test sentences longer than L.
+    factor stays positive even for test sentences longer than L. Takes ints or
+    equal-length integer arrays, one entry per position.
     """
-    if i <= t <= j:
-        return 1.0
-    d = i - t if t < i else t - j
-    d = min(d, spec.max_len - 1)
+    d = np.minimum(np.maximum(np.maximum(i - t, t - j), 0), spec.max_len - 1)  # 0 inside the span
     return ((spec.max_len - d) / spec.max_len) ** spec.gamma
 
 
-def decay_weights(n: int, i: int, j: int, spec: DecaySpec) -> np.ndarray:
-    return np.array([decay_weight(t, i, j, spec) for t in range(n)])
+def apply_decay(h: Tensor, aspect_start, aspect_end, spec: DecaySpec, lengths=None) -> Tensor:
+    """r_t = f(t) * h_t, over one sentence or a batch laid out as in ``embed_input``.
 
-
-def apply_decay(h: Tensor, i: int, j: int, spec: DecaySpec) -> Tensor:
-    """r_t = f(t) * h_t. The factors depend only on positions, so they are
-    constants to the tape; no gradient flows into the decay."""
-    n = h.shape[0]
-    factors = Tensor(decay_weights(n, i, j, spec).reshape(n, 1))
-    return ad.mul(h, factors)
+    The factors depend only on positions, so they are constants to the tape;
+    no gradient flows into the decay."""
+    t, i, j = _row_spans(h.shape[0], aspect_start, aspect_end, lengths)
+    return ad.mul(h, Tensor(decay_weight(t, i, j, spec)[:, None]))

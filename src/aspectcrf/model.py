@@ -1,6 +1,7 @@
 """Full model: decayed Bi-GRU encoding, CRF attention pooling, 3-way softmax.
 
-Forward path for one instance:
+Forward path, per instance (a batch runs every stage once for all its
+instances, their tokens packed into one array of rows):
 
     x_t = [word embedding ; aspect indicator]      (dropout here in training)
     h   = stacked Bi-GRU(x)                        (dropout here in training)
@@ -115,8 +116,54 @@ def init_params(
 
 @dataclass
 class ForwardResult:
-    logits: Tensor  # 3
-    head_marginals: Tensor | None  # K x n; None under no_structured_attention
+    logits: Tensor  # 3, or B x 3 for a batch
+    head_marginals: Tensor | None  # K x N over the token rows; None under no_structured_attention
+
+
+def _forward(params, ids, starts, ends, lengths, config: RunConfig, max_len: int, train_mode, rng) -> ForwardResult:
+    """Token rows ``ids`` of sentences with ``lengths`` and aspect spans through the network.
+
+    ``lengths`` None means one sentence with int ``starts``/``ends`` and no
+    batch axis. Every stage is reached through its module attribute and runs
+    once for the whole batch. Dropout only in train mode.
+    """
+    x = encoder.embed_input(
+        ids, starts, ends, params.embedding, params.indicator,
+        no_aspect_indicator=config.no_aspect_indicator, lengths=lengths,
+    )
+    sizes = [len(ids)] if lengths is None else lengths
+    use_dropout = train_mode and config.dropout > 0
+    if use_dropout:
+        assert rng is not None, "train-mode forward needs an rng for dropout"
+        x_mask, h_mask = ad.dropout_masks(sizes, (x.shape[1], 2 * config.hidden_size), config.dropout, rng)
+        x = ad.mul(x, x_mask)
+    h = encoder.bigru_encode(x, params.gru_layers, lengths)
+    if use_dropout:
+        h = ad.mul(h, h_mask)
+    spec = encoder.DecaySpec(gamma=config.effective_gamma, max_len=max_len)
+    r = encoder.apply_decay(h, starts, ends, spec, lengths)
+    if config.no_structured_attention:
+        mean = Tensor(np.repeat(1.0 / np.asarray(sizes), sizes)[None])  # 1 x N, 1/n on each sentence's rows
+        q, marginals = ad.pool(mean, r, lengths), None
+    else:
+        q, marginals = crf.multi_head(r, params.heads, lengths)
+    return ForwardResult(logits=clf.logits(q, params.cls), head_marginals=marginals)
+
+
+def forward_batch(
+    params: ModelParams,
+    instances: list[AspectInstance],
+    config: RunConfig,
+    max_len: int,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> ForwardResult:
+    """The instances as one packed batch: B x 3 logits, K x N marginals over their tokens in order."""
+    lengths = np.array([inst.length for inst in instances])
+    ids = np.concatenate([inst.token_ids for inst in instances])
+    starts = np.array([inst.aspect_start for inst in instances])
+    ends = np.array([inst.aspect_end for inst in instances])
+    return _forward(params, ids, starts, ends, lengths, config, max_len, train_mode, rng)
 
 
 def forward(
@@ -127,29 +174,9 @@ def forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardResult:
-    """One instance through the whole network. Dropout only in train mode."""
-    x = encoder.embed_input(
-        instance.token_ids,
-        instance.aspect_start,
-        instance.aspect_end,
-        params.embedding,
-        params.indicator,
-        no_aspect_indicator=config.no_aspect_indicator,
-    )
-    use_dropout = train_mode and config.dropout > 0
-    if use_dropout:
-        assert rng is not None, "train-mode forward needs an rng for dropout"
-        x = ad.mul(x, ad.dropout_mask(x.shape, config.dropout, rng))
-    h = encoder.bigru_encode(x, params.gru_layers)
-    if use_dropout:
-        h = ad.mul(h, ad.dropout_mask(h.shape, config.dropout, rng))
-    spec = encoder.DecaySpec(gamma=config.effective_gamma, max_len=max_len)
-    r = encoder.apply_decay(h, instance.aspect_start, instance.aspect_end, spec)
-    if config.no_structured_attention:
-        q, marginals = ad.mean(r, axis=0), None
-    else:
-        q, marginals = crf.multi_head(r, params.heads)
-    return ForwardResult(logits=clf.logits(q, params.cls), head_marginals=marginals)
+    """One instance: ``forward_batch``'s B = 1 case without the batch axis, 3 logits and K x n marginals."""
+    return _forward(params, instance.token_ids, instance.aspect_start, instance.aspect_end, None,
+                    config, max_len, train_mode, rng)
 
 
 def batch_loss(
@@ -160,9 +187,9 @@ def batch_loss(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean NLL over the instances, forwarded in order (which fixes the dropout draws)."""
-    logits = [forward(params, inst, config, max_len, train_mode, rng).logits for inst in instances]
-    return clf.nll_loss(ad.stack(logits), [inst.label for inst in instances])
+    """Mean NLL over the instances, forwarded as one batch."""
+    logits = forward_batch(params, instances, config, max_len, train_mode, rng).logits
+    return clf.nll_loss(logits, [inst.label for inst in instances])
 
 
 def predict_instance(
@@ -182,8 +209,11 @@ def evaluate(
     config: RunConfig,
     max_len: int,
 ) -> tuple[float, float, list[str]]:
-    """(accuracy, macro-F1, predicted labels) with dropout disabled."""
-    predicted = [predict_instance(params, inst, config, max_len).label for inst in instances]
+    """(accuracy, macro-F1, predicted labels) with dropout disabled, in batches of ``config.batch_size``."""
+    predicted = []
+    for lo in range(0, len(instances), config.batch_size):
+        logits = forward_batch(params, instances[lo : lo + config.batch_size], config, max_len).logits
+        predicted += [clf.Prediction(probabilities=probs).label for probs in ad.softmax_weights(logits.data)]
     gold = [inst.label for inst in instances]
     accuracy, macro_f1 = clf.metrics(predicted, gold)
     return accuracy, macro_f1, predicted

@@ -77,11 +77,15 @@ def adam_step(named: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
 
 
 def clip_global_norm(named: dict[str, ad.Tensor]) -> tuple[float, bool]:
-    """Scale all gradients so their joint L2 norm is at most GRAD_CLIP_NORM."""
+    """Scale all gradients so their joint L2 norm is at most GRAD_CLIP_NORM.
+
+    einsum sums each tensor's squares without a temporary and without BLAS,
+    whose threads would move the norm's last bits."""
     total = 0.0
     for t in named.values():
         if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
+            flat = t.grad.reshape(-1)
+            total += float(np.einsum("i,i->", flat, flat))
     norm = float(np.sqrt(total))
     if norm <= GRAD_CLIP_NORM or norm == 0.0:
         return norm, False
@@ -174,6 +178,7 @@ def train(
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch}, batch {batch_index}: {exc}"
                 ) from exc
+            del tape  # frees the batch's recorded forward before clipping and Adam
             norm, clipped = clip_global_norm(named)
             if clipped:
                 clip_events += 1

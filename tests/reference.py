@@ -3,8 +3,9 @@
 Nothing in ``src/`` calls these. They stay independent of the code they check:
 
 - taped primitives (``sub``, ``neg``, ``index``, ``sigmoid``, ``tanh``,
-  ``exp``, ``log``, ``clamp_min``, ``softmax``, ``log_sum_exp``) built on the
-  tape internals the same way the kept primitives are;
+  ``exp``, ``log``, ``clamp_min``, ``softmax``, ``log_sum_exp``,
+  ``reduce_sum``, ``mean``) built on the tape internals the same way the kept
+  primitives are;
 - ``taped_nll``, the per-row loss composition the fused ``nll`` must match;
 - ``dense_gather_rows``, the dense |V| x d scatter that ``gather_rows``'
   row-sparse adjoint must match, and ``dense_adam_step``, the temporary-heavy
@@ -15,7 +16,12 @@ Nothing in ``src/`` calls these. They stay independent of the code they check:
 - ``gru_sequence``, one GRU direction as one tape op, and
   ``per_direction_bigru``, the Bi-GRU layer built from it with taped
   ``matmul``/``add``/``concat``, which the fused ``bigru`` must match bit for bit;
-- ``taped_gru_direction``, the per-step composition both must match.
+- ``taped_gru_direction``, the per-step composition both must match;
+- ``instance_bigru`` and ``instance_crf_marginals``, the per-sentence ops
+  that the packed ``bigru`` and ``crf_marginals`` must match sentence by
+  sentence, and ``instance_forward``, the per-instance model built on them;
+- ``temporary_clip_global_norm``, the clipping whose norm the
+  temporary-free ``clip_global_norm`` must match to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -36,9 +42,11 @@ from aspectcrf.autodiff import (
     _make,
     _unbroadcast,
     as_tensor,
+    softmax_weights,
 )
 from aspectcrf.crf import NO, YES, CrfHeadParams
-from aspectcrf.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
+from aspectcrf.encoder import DecaySpec, apply_decay, embed_input
+from aspectcrf.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, AdamState
 
 
 def sub(a, b) -> Tensor:
@@ -166,6 +174,28 @@ def log_sum_exp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward, "log_sum_exp")
 
 
+def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Sum over ``axis`` (all axes when None); the adjoint broadcasts back."""
+    a = as_tensor(a)
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = np.asarray(out_data)
+
+    def backward(g):
+        g_keep = np.asarray(g)
+        if not keepdims and axis is not None:
+            g_keep = np.expand_dims(g_keep, axis=axis)
+        _accumulate(a, np.broadcast_to(g_keep, a.shape).copy())
+
+    return _make(out_data, (a,), backward, "reduce_sum")
+
+
+def mean(a, axis: int | None = None) -> Tensor:
+    """reduce_sum times 1/count, as taped primitives."""
+    a = as_tensor(a)
+    count = a.size if axis is None else a.shape[axis]
+    return ad.mul(reduce_sum(a, axis=axis), 1.0 / count)
+
+
 def taped_nll(logits: Tensor, gold_ids) -> Tensor:
     """Reference mean NLL over B x C logits: per row -log(max(softmax(row)[gold],
     PROB_FLOOR)) as five taped primitives, then the mean of the stacked rows."""
@@ -173,7 +203,7 @@ def taped_nll(logits: Tensor, gold_ids) -> Tensor:
         neg(log(clamp_min(index(softmax(index(logits, i)), gold), PROB_FLOOR)))
         for i, gold in enumerate(gold_ids)
     ]
-    return ad.mean(ad.stack(losses))
+    return mean(ad.stack(losses))
 
 
 def dense_gather_rows(a: Tensor, indices) -> Tensor:
@@ -191,6 +221,22 @@ def dense_gather_rows(a: Tensor, indices) -> Tensor:
         _accumulate(a, full)
 
     return _make(out_data, (a,), backward, "gather_rows")
+
+
+def temporary_clip_global_norm(named: dict[str, Tensor]) -> tuple[float, bool]:
+    """Reference gradient clipping: the joint norm from a full-size g * g per tensor."""
+    total = 0.0
+    for t in named.values():
+        if t.grad is not None:
+            total += float((t.grad * t.grad).sum())
+    norm = float(np.sqrt(total))
+    if norm <= GRAD_CLIP_NORM or norm == 0.0:
+        return norm, False
+    scale = GRAD_CLIP_NORM / norm
+    for t in named.values():
+        if t.grad is not None:
+            t.grad *= scale
+    return norm, True
 
 
 def dense_adam_step(named: dict[str, Tensor], state: AdamState, lr: float) -> None:
@@ -430,3 +476,190 @@ def per_direction_bigru(x: Tensor, fwd, bwd, direction=gru_sequence) -> Tensor:
         for (w_ih, w_hh, b_ih, b_hh), reverse in ((fwd, False), (bwd, True))
     ]
     return ad.concat(states, axis=1)
+
+
+def instance_bigru(x: Tensor, fwd, bwd) -> Tensor:
+    """Reference: the per-sentence ``bigru`` that the packed op replaced.
+
+    One bidirectional GRU layer over a sentence, gates in (reset, update, candidate) order.
+
+    ``x`` is n x d, and ``fwd`` and ``bwd`` are each (w_ih d x 3H, w_hh H x 3H,
+    b_ih 3H, b_hh 3H). Per direction, xp = x @ w_ih + b_ih, and from h = 0
+    each step t (first to last forward, last to first backward) computes
+
+        hp = h @ w_hh + b_hh
+        r  = sigmoid(xp[t, 0:H]  + hp[0:H])
+        u  = sigmoid(xp[t, H:2H] + hp[H:2H])
+        c  = tanh(xp[t, 2H:] + r * hp[2H:])
+        h' = (1 - u) * c + u * h
+
+    Returns the n x 2H states [forward_t ; backward_t] in sentence order. One
+    loop advances both directions, and one tape entry covers the layer. The
+    adjoint is backprop through time (Werbos 1990) with hand-derived per-step
+    terms; it equals the per-direction composition bit for bit and is pinned
+    against the primitive composition in the tests.
+    """
+    H = fwd[1].shape[0] if fwd[1].ndim else 0
+    want = [(x.shape[-1] if x.ndim else 0, 3 * H), (H, 3 * H), (3 * H,), (3 * H,)]
+    if x.ndim != 2 or x.shape[0] < 1 or any([t.shape for t in p] != want for p in (fwd, bwd)):
+        raise DimensionError(
+            f"bigru expects x (n >= 1, d) and per direction w_ih (d, 3H), w_hh (H, 3H), b_ih (3H,), "
+            f"b_hh (3H,), got {x.shape}, {[t.shape for t in fwd]}, {[t.shape for t in bwd]}"
+        )
+    n = x.shape[0]
+    W = (fwd[1].data, bwd[1].data)  # w_hh
+    b = np.stack((fwd[3].data, bwd[3].data))  # b_hh
+    # xp in step order (step s: position s forward, n - 1 - s backward); axis 1 is the direction
+    X = np.stack((x.data @ fwd[0].data + fwd[2].data, (x.data @ bwd[0].data + bwd[2].data)[::-1]), axis=1)
+    states = np.empty((n, 2, H))
+    prev = np.empty((n, 2, H))  # the state each step started from
+    ru = np.empty((n, 2, 2 * H))
+    c = np.empty((n, 2, H))
+    hp_c = np.empty((n, 2, H))
+    h = np.zeros((2, H))
+    hp = np.empty((2, 3 * H))
+    for s in range(n):
+        prev[s] = h
+        hp[0], hp[1] = h[0] @ W[0], h[1] @ W[1]
+        hp += b
+        ru[s] = 1.0 / (1.0 + np.exp(-(X[s, :, : 2 * H] + hp[:, : 2 * H])))
+        hp_c[s] = hp[:, 2 * H :]
+        c[s] = np.tanh(X[s, :, 2 * H :] + ru[s, :, :H] * hp_c[s])
+        h = states[s] = (1.0 - ru[s, :, H:]) * c[s] + ru[s, :, H:] * h
+    r, u = ru[..., :H], ru[..., H:]
+
+    def backward(g):
+        G = np.stack((g[:, :H], g[::-1, H:]), axis=1)  # upstream in step order
+        # g_hp[s] is the gradient into step s's hidden projection hp
+        g_hp = np.empty((n, 2, 3 * H))
+        g_xc = np.empty((n, 2, H))
+        carry = np.zeros((2, H))
+        w_g = np.empty((2, H))
+        for s in range(n - 1, -1, -1):
+            gh = G[s] + carry
+            g_hp[s, :, H : 2 * H] = gh * (prev[s] - c[s]) * u[s] * (1.0 - u[s])
+            g_xc[s] = gh * (1.0 - u[s]) * (1.0 - c[s] * c[s])
+            g_hp[s, :, :H] = g_xc[s] * hp_c[s] * r[s] * (1.0 - r[s])
+            g_hp[s, :, 2 * H :] = g_xc[s] * r[s]
+            w_g[0], w_g[1] = W[0] @ g_hp[s, 0], W[1] @ g_hp[s, 1]
+            carry = gh * u[s] + w_g
+        # per direction in sentence order, backward first as the per-direction tape ran
+        for k, (w_ih, w_hh, b_ih, b_hh), order in ((1, bwd, slice(None, None, -1)), (0, fwd, slice(None))):
+            g_h = np.ascontiguousarray(g_hp[order, k])
+            g_x = g_h.copy()
+            g_x[:, 2 * H :] = g_xc[order, k]
+            _accumulate(w_hh, np.ascontiguousarray(prev[order, k]).T @ g_h)
+            _accumulate(b_hh, g_h.sum(axis=0))
+            _accumulate(b_ih, g_x.sum(axis=0))
+            _accumulate(x, g_x @ w_ih.data.T)
+            _accumulate(w_ih, x.data.T @ g_x)
+
+    out = np.concatenate((states[:, 0], states[::-1, 1]), axis=1)
+    return _make(out, (x, *fwd, *bwd), backward, "instance_bigru")
+
+
+def instance_crf_marginals(e: Tensor, trans: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """Reference: the per-sentence ``crf_marginals`` that the packed op replaced.
+
+    Fused two-label linear-chain CRFs: P(z_t = 0 | x) for every chain and position.
+
+    ``e`` holds the emission scores, n x ... x 2 with positions first; any
+    axes between positions and labels index independent chains (the heads of
+    the multi-head attention). Per chain, ``trans[..., a, b]`` scores a -> b
+    and ``start``/``end`` (... x 2) score the moves from START and into END.
+    The forward runs the forward-backward recursions in numpy, in log space,
+    for all chains at once:
+
+        alpha_0 = start + e_0,  alpha_t[b] = lse_a(alpha_{t-1}[a] + T[a, b]) + e_t[b]
+        beta_{n-1} = end,       beta_t[a] = lse_b(T[a, b] + e_{t+1}[b] + beta_{t+1}[b])
+        log Z = lse(alpha_{n-1} + end),  P(z_t = y | x) = exp(alpha_t[y] + beta_t[y] - log Z)
+
+    and returns the label-0 marginals with positions last, ... x n. A single
+    chain is the call without chain axes: n x 2 emissions give n marginals.
+
+    One tape entry for all chains. The adjoint is reverse mode through both
+    recursions (Eisner 2016, "Inside-Outside and Forward-Backward Algorithms
+    Are Just Backprop"), so gradients reach all four inputs through log Z as
+    well as through alpha and beta. It is pinned against the primitive
+    composition in the tests.
+    """
+    chains = e.shape[1:-1]
+    if e.ndim < 2 or e.shape[0] < 1 or e.shape[-1] != 2:
+        raise DimensionError(f"crf_marginals expects n x ... x 2 emissions with n >= 1, got {e.shape}")
+    if trans.shape != chains + (2, 2) or start.shape != chains + (2,) or end.shape != chains + (2,):
+        raise DimensionError(
+            f"crf_marginals expects trans {chains + (2, 2)}, start and end {chains + (2,)} "
+            f"for emissions {e.shape}, got {trans.shape}, {start.shape}, {end.shape}"
+        )
+    E, T = e.data, trans.data
+    n = E.shape[0]
+    alpha = np.empty(E.shape)
+    beta = np.empty(E.shape)
+    alpha[0] = start.data + E[0]
+    for t in range(1, n):
+        moved = np.logaddexp(alpha[t - 1, ..., 0, None] + T[..., 0, :], alpha[t - 1, ..., 1, None] + T[..., 1, :])
+        alpha[t] = moved + E[t]
+    beta[-1] = end.data
+    for t in range(n - 2, -1, -1):
+        ahead = E[t + 1] + beta[t + 1]
+        beta[t] = np.logaddexp(T[..., 0] + ahead[..., 0, None], T[..., 1] + ahead[..., 1, None])
+    last = alpha[-1] + end.data
+    log_z = np.logaddexp(last[..., 0], last[..., 1])
+    yes = np.exp(alpha[..., 0] + beta[..., 0] - log_z)  # n x ...
+
+    def backward(g):
+        # yes = exp(alpha[.., 0] + beta[.., 0] - log Z): adjoint of that exponent
+        g_s = np.moveaxis(g, -1, 0) * yes
+        # -g_s summed over positions is log Z's adjoint, spread over
+        # alpha_{n-1} + end by its lse weights
+        g_last = -g_s.sum(axis=0)[..., None] * softmax_weights(last, axis=-1)
+        g_beta = np.zeros(E.shape)
+        g_beta[..., 0] = g_s
+        g_alpha = g_beta.copy()
+        g_alpha[-1] += g_last
+        # lse weights of every step, normalised as softmaxes so that each set
+        # sums to one: fwd[t-1, .., a, b] = d alpha_t[b] / d alpha_{t-1}[a],
+        # bwd[t, .., a, b] = d beta_t[a] / d beta_{t+1}[b]
+        fwd = softmax_weights(alpha[:-1, ..., :, None] + T, axis=-2)
+        bwd = softmax_weights(T + (E[1:] + beta[1:])[..., None, :], axis=-1)
+        for t in range(n - 1):
+            g_beta[t + 1] += (g_beta[t][..., None, :] @ bwd[t])[..., 0, :]
+        for t in range(n - 1, 0, -1):
+            g_alpha[t - 1] += (fwd[t - 1] @ g_alpha[t][..., None])[..., 0]
+        g_e = g_alpha.copy()
+        g_e[1:] += np.einsum("t...a,t...ab->t...b", g_beta[:-1], bwd)
+        g_trans = np.einsum("t...ab,t...b->...ab", fwd, g_alpha[1:]) + np.einsum("t...a,t...ab->...ab", g_beta[:-1], bwd)
+        _accumulate(e, g_e)
+        _accumulate(trans, g_trans)
+        _accumulate(start, g_alpha[0])
+        _accumulate(end, g_last + g_beta[-1])
+
+    out = np.ascontiguousarray(np.moveaxis(yes, 0, -1))
+    return _make(out, (e, trans, start, end), backward, "instance_crf_marginals")
+
+
+def instance_forward(params, instance, config, max_len: int) -> tuple[Tensor, Tensor | None]:
+    """Reference: one instance through the network as the per-instance path ran it, dropout off.
+
+    Uses the one-sentence encoder calls and the per-sentence ``instance_bigru``
+    and ``instance_crf_marginals``; returns the 3 logits and the K x n
+    marginals (None under no_structured_attention).
+    """
+    i, j = instance.aspect_start, instance.aspect_end
+    h = embed_input(instance.token_ids, i, j, params.embedding, params.indicator,
+                    no_aspect_indicator=config.no_aspect_indicator)
+    for layer in params.gru_layers:
+        h = instance_bigru(h, layer.forward, layer.backward)
+    r = apply_decay(h, i, j, DecaySpec(gamma=config.effective_gamma, max_len=max_len))
+    if config.no_structured_attention:
+        q, yes = mean(r, axis=0), None
+    else:
+        n, rep = r.shape
+        heads = params.heads
+        w_emit = ad.concat([head.w_emit for head in heads], axis=1)
+        b_emit = ad.concat([head.b_emit for head in heads])
+        e = ad.reshape(ad.add(ad.matmul(r, w_emit), b_emit), (n, len(heads), 2))
+        yes = instance_crf_marginals(e, *(ad.stack([getattr(head, name) for head in heads])
+                                          for name in ("trans", "start", "end")))
+        q = ad.reshape(ad.matmul(yes, r), (len(heads) * rep,))
+    return ad.add(ad.matmul(params.cls.w, q), params.cls.b), yes

@@ -27,6 +27,8 @@ from reference import (
     index,
     log,
     log_sum_exp,
+    mean,
+    reduce_sum,
     sigmoid,
     softmax,
     taped_nll,
@@ -161,28 +163,37 @@ class TestForwardValues:
         # overflows, so the check on the way into the gradient accumulator fires
         x = Tensor([1e-320, 1.0], requires_grad=True, name="x")
         with Tape() as tape:
-            loss = ad.reduce_sum(log(x))
+            loss = reduce_sum(log(x))
             with pytest.raises(NonFiniteError, match="gradient flowing into x"):
                 with np.errstate(over="ignore"):
                     tape.backward(loss)
 
     def test_dropout_identity_at_zero(self):
         rng = np.random.default_rng(0)
-        mask = ad.dropout_mask((50,), 0.0, rng)
-        npt.assert_array_equal(mask.numpy(), np.ones(50))
+        (mask,) = ad.dropout_masks([50], (1,), 0.0, rng)
+        npt.assert_array_equal(mask.numpy(), np.ones((50, 1)))
 
     def test_dropout_scale(self):
         rng = np.random.default_rng(0)
-        mask = ad.dropout_mask((10000,), 0.4, rng).numpy()
-        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.6}
-        npt.assert_allclose(mask.mean(), 1.0, atol=0.05)
+        (mask,) = ad.dropout_masks([10000], (1,), 0.4, rng)
+        assert set(np.unique(mask.numpy())) <= {0.0, 1.0 / 0.6}
+        npt.assert_allclose(mask.numpy().mean(), 1.0, atol=0.05)
+
+    def test_dropout_draws_sentence_by_sentence(self):
+        # sentence 0's rows of both masks, then sentence 1's, as forwarding
+        # the sentences one at a time draws them
+        (a, b), rng = ad.dropout_masks([2, 3], (4, 1), 0.5, np.random.default_rng(1)), np.random.default_rng(1)
+        first = [rng.random((2, 4)), rng.random((2, 1))]
+        second = [rng.random((3, 4)), rng.random((3, 1))]
+        for mask, parts in ((a, (first[0], second[0])), (b, (first[1], second[1]))):
+            npt.assert_array_equal(mask.numpy(), (np.concatenate(parts) >= 0.5) / 0.5)
 
 
 class TestBackward:
     def test_quadratic_gradient_exact(self):
         # d/dx sum(x*x) = 2x, checked to near machine precision
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True, name="x")
-        report = grad_check(lambda: ad.reduce_sum(ad.mul(x, x)), [x], epsilon=1e-5, tolerance=1e-8)
+        report = grad_check(lambda: reduce_sum(ad.mul(x, x)), [x], epsilon=1e-5, tolerance=1e-8)
         assert report.passed, report.failures
         assert report.num_coordinates == 3
 
@@ -190,7 +201,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True, name="x")
         c = Tensor([4.0])
         with Tape() as tape:
-            loss = ad.reduce_sum(ad.mul(c, c))
+            loss = reduce_sum(ad.mul(c, c))
             tape.backward(loss)
         assert x.grad is None
 
@@ -206,21 +217,21 @@ class TestBackward:
         w = Tensor(rng.normal(size=5))
         for _ in range(25):
             x = Tensor(rng.uniform(-2.0, 2.0, size=5), requires_grad=True, name="x")
-            report = grad_check(lambda: ad.reduce_sum(ad.mul(op(x), w)), [x], epsilon=1e-5, tolerance=1e-5)
+            report = grad_check(lambda: reduce_sum(ad.mul(op(x), w)), [x], epsilon=1e-5, tolerance=1e-5)
             assert report.passed, report.failures
 
     def test_log_positive_domain(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             x = Tensor(rng.uniform(0.5, 3.0, size=4), requires_grad=True, name="x")
-            report = grad_check(lambda: ad.reduce_sum(log(x)), [x], epsilon=1e-5, tolerance=1e-6)
+            report = grad_check(lambda: reduce_sum(log(x)), [x], epsilon=1e-5, tolerance=1e-6)
             assert report.passed, report.failures
 
     def test_matmul_gradients(self):
         rng = np.random.default_rng(19)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="a")
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True, name="b")
-        report = grad_check(lambda: ad.reduce_sum(ad.matmul(a, b)), [a, b], tolerance=1e-6)
+        report = grad_check(lambda: reduce_sum(ad.matmul(a, b)), [a, b], tolerance=1e-6)
         assert report.passed, report.failures
 
     def test_gather_rows_scatter_add(self):
@@ -228,7 +239,7 @@ class TestBackward:
         table = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True, name="table")
         with Tape() as tape:
             picked = ad.gather_rows(table, [0, 2, 0])
-            loss = ad.reduce_sum(picked)
+            loss = reduce_sum(picked)
             tape.backward(loss)
         npt.assert_array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -239,7 +250,7 @@ class TestBackward:
 
         def f():
             joined = ad.concat([x, y], axis=0)
-            return ad.reduce_sum(ad.mul(index(joined, slice(1, 5)), index(joined, slice(1, 5))))
+            return reduce_sum(ad.mul(index(joined, slice(1, 5)), index(joined, slice(1, 5))))
 
         report = grad_check(f, [x, y], tolerance=1e-6)
         assert report.passed, report.failures
@@ -251,22 +262,33 @@ class TestBackward:
             parts = [Tensor(rng.normal(size=shape), requires_grad=True, name=f"p{i}") for i in range(4)]
             stacked = ad.stack(parts)
             npt.assert_array_equal(stacked.numpy(), np.stack([p.data for p in parts]))
-            report = grad_check(lambda: ad.reduce_sum(tanh(ad.stack(parts))), parts, tolerance=1e-6)
+            report = grad_check(lambda: reduce_sum(tanh(ad.stack(parts))), parts, tolerance=1e-6)
             assert report.passed, report.failures
 
     def test_broadcast_add_unbroadcasts_grad(self):
         m = Tensor(np.ones((3, 4)), requires_grad=True, name="m")
         bias = Tensor(np.ones(4), requires_grad=True, name="bias")
         with Tape() as tape:
-            loss = ad.reduce_sum(ad.add(m, bias))
+            loss = reduce_sum(ad.add(m, bias))
             tape.backward(loss)
         npt.assert_array_equal(m.grad, np.ones((3, 4)))
         npt.assert_array_equal(bias.grad, np.full(4, 3.0))
 
+    def test_transpose_value_and_gradient(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="a")
+        w = Tensor(np.arange(6.0).reshape(3, 2) * 0.5)
+        with Tape() as tape:
+            out = ad.transpose(a)
+            tape.backward(reduce_sum(ad.mul(out, w)))
+        npt.assert_array_equal(out.numpy(), a.data.T)
+        npt.assert_array_equal(a.grad, w.data.T)
+        with pytest.raises(ad.DimensionError):
+            ad.transpose(Tensor(np.zeros(3)))
+
     def test_mean_gradient(self):
         x = Tensor([2.0, 4.0, 6.0, 8.0], requires_grad=True, name="x")
         with Tape() as tape:
-            tape.backward(ad.mean(x))
+            tape.backward(mean(x))
         npt.assert_allclose(x.grad, np.full(4, 0.25), rtol=1e-15)
 
     def test_second_backward_independent(self):
@@ -275,7 +297,7 @@ class TestBackward:
         for _ in range(2):
             x.zero_grad()
             with Tape() as tape:
-                tape.backward(ad.reduce_sum(ad.mul(x, x)))
+                tape.backward(reduce_sum(ad.mul(x, x)))
             npt.assert_allclose(x.grad, [6.0])
 
     def test_backward_requires_scalar(self):
@@ -306,8 +328,8 @@ class TestSparseGatherRows:
             terms = []
             for k, (ids, w) in enumerate(zip(calls, weights)):
                 if dense is not None and k == len(calls) // 2:
-                    terms.append(ad.reduce_sum(ad.mul(ad.matmul(table, Tensor(dense[0])), dense[1])))
-                terms.append(ad.reduce_sum(ad.mul(gather(table, ids), w)))
+                    terms.append(reduce_sum(ad.mul(ad.matmul(table, Tensor(dense[0])), dense[1])))
+                terms.append(reduce_sum(ad.mul(gather(table, ids), w)))
             loss = terms[0]
             for term in terms[1:]:
                 loss = ad.add(loss, term)
@@ -360,7 +382,7 @@ class TestSparseGatherRows:
         table = Tensor(np.ones((4, 2)), name="table")
         w = Tensor(np.full((3, 2), 0.5), requires_grad=True, name="w")
         with Tape() as tape:
-            tape.backward(ad.reduce_sum(ad.mul(ad.gather_rows(table, [0, 3, 0]), w)))
+            tape.backward(reduce_sum(ad.mul(ad.gather_rows(table, [0, 3, 0]), w)))
         assert table.grad is None
         npt.assert_array_equal(w.grad, np.ones((3, 2)))
 
@@ -424,16 +446,16 @@ class TestGradCheckHarness:
     def test_epsilon_range_enforced(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            grad_check(lambda: ad.reduce_sum(x), [x], epsilon=1e-2)
+            grad_check(lambda: reduce_sum(x), [x], epsilon=1e-2)
         with pytest.raises(ValueError):
-            grad_check(lambda: ad.reduce_sum(x), [x], epsilon=1e-7)
+            grad_check(lambda: reduce_sum(x), [x], epsilon=1e-7)
 
     def test_reports_failing_coordinates(self):
         x = Tensor([1.0, 1.0], requires_grad=True, name="x")
 
         def f():
             first = index(x, 0)
-            return ad.add(ad.reduce_sum(ad.mul(first, first)), ad.reduce_sum(ad.mul(x, Tensor([0.0, 1.0]))))
+            return ad.add(reduce_sum(ad.mul(first, first)), reduce_sum(ad.mul(x, Tensor([0.0, 1.0]))))
 
         # analytic: [2, 1]; fd agrees, so this passes
         report = grad_check(f, [x], tolerance=1e-6)
@@ -453,7 +475,7 @@ class TestGradCheckHarness:
         w = Tensor(np.arange(1.0, 7.0), requires_grad=True, name="w")
 
         def g():
-            return ad.add(ad.reduce_sum(ad.mul(v, v)), ad.reduce_sum(bad_square(w, [2])))
+            return ad.add(reduce_sum(ad.mul(v, v)), reduce_sum(bad_square(w, [2])))
 
         report = grad_check(g, [v, w], tolerance=1e-6)
         assert not report.passed
@@ -465,7 +487,7 @@ class TestGradCheckHarness:
 
         # every coordinate wrong: the list stops at max_failures, the
         # maximum still covers them all
-        report = grad_check(lambda: ad.reduce_sum(bad_square(w, slice(None))), [w], tolerance=1e-6, max_failures=4)
+        report = grad_check(lambda: reduce_sum(bad_square(w, slice(None))), [w], tolerance=1e-6, max_failures=4)
         assert not report.passed
         assert report.num_coordinates == 6
         assert [(name, i) for name, i, *_ in report.failures] == [("w", 0), ("w", 1), ("w", 2), ("w", 3)]
@@ -475,7 +497,7 @@ class TestGradCheckHarness:
         # a genuinely wrong backward is caught: compare grad of x*x against x*x*x
         x = Tensor([2.0], requires_grad=True, name="x")
         with Tape() as tape:
-            tape.backward(ad.reduce_sum(ad.mul(ad.mul(x, x), x)))
+            tape.backward(reduce_sum(ad.mul(ad.mul(x, x), x)))
         analytic = x.grad.copy()
         fd = fd_gradient(lambda v: float((v * v).sum()), x.data.copy())
         assert abs(analytic[0] - fd[0]) > 1.0

@@ -21,7 +21,7 @@ from aspectcrf.crf import (
     init_crf_head,
     multi_head,
 )
-from reference import grad_check, log_partition, score_sequence, taped_marginals
+from reference import grad_check, log_partition, reduce_sum, score_sequence, taped_marginals
 
 
 def fused_marginals(e: Tensor, head: CrfHeadParams) -> Tensor:
@@ -37,7 +37,7 @@ def per_head_reference(r: Tensor, heads: list[CrfHeadParams]) -> tuple[Tensor, T
     for head in heads:
         yes = fused_marginals(emissions(r, head), head)
         tables.append(yes)
-        pooled.append(ad.reduce_sum(ad.mul(r, ad.reshape(yes, (n, 1))), axis=0))
+        pooled.append(reduce_sum(ad.mul(r, ad.reshape(yes, (n, 1))), axis=0))
     return ad.concat(pooled), ad.stack(tables)
 
 
@@ -170,7 +170,7 @@ class TestMarginals:
                     et = Tensor(e, requires_grad=True, name="e")
                     with Tape() as tape:
                         yes = compute(et, head)
-                        tape.backward(ad.reduce_sum(ad.mul(yes, w_yes)))
+                        tape.backward(reduce_sum(ad.mul(yes, w_yes)))
                     grads = [np.zeros_like(t.data) if t.grad is None else t.grad
                              for t in (et, head.trans, head.start, head.end)]
                     results.append([yes.numpy(), *grads])
@@ -212,7 +212,7 @@ class TestMarginals:
         et = Tensor(e, requires_grad=True, name="e")
         w = Tensor(rng.normal(size=5))
         report = grad_check(
-            lambda: ad.reduce_sum(ad.mul(fused_marginals(et, head), w)),
+            lambda: reduce_sum(ad.mul(fused_marginals(et, head), w)),
             [et, head.trans, head.start, head.end],
             tolerance=1e-5,
         )
@@ -224,7 +224,7 @@ def run_chains(e, trans, start, end, w):
     e = Tensor(e, requires_grad=True, name="e")
     with Tape() as tape:
         yes = ad.crf_marginals(e, trans, start, end)
-        tape.backward(ad.reduce_sum(ad.mul(yes, w)))
+        tape.backward(reduce_sum(ad.mul(yes, w)))
     return yes.numpy(), e.grad
 
 
@@ -271,7 +271,7 @@ class TestHeadAxis:
         shared = [Tensor(rng.uniform(-5, 5, size=s), requires_grad=True) for s in ((2, 2), (2,), (2,))]
         with Tape() as tape:
             yes = ad.crf_marginals(Tensor(e), *(ad.stack([t] * k) for t in shared))
-            tape.backward(ad.reduce_sum(ad.mul(yes, Tensor(w))))
+            tape.backward(reduce_sum(ad.mul(yes, Tensor(w))))
         yes = yes.numpy()
         expected = [np.zeros_like(t.data) for t in shared]
         for h in range(k):
@@ -334,7 +334,7 @@ class TestEmissionsAndPooling:
                     t.zero_grad()
                 with Tape() as tape:
                     q, yes = compute(r, heads)
-                    tape.backward(ad.reduce_sum(ad.mul(q, w)))
+                    tape.backward(reduce_sum(ad.mul(q, w)))
                 results.append([q.numpy(), yes.numpy(), r.grad, *(t.grad.copy() for t in params)])
             for ref, got in zip(*results):
                 assert ref.shape == got.shape
@@ -350,7 +350,12 @@ class TestEmissionsAndPooling:
                 q, yes = multi_head(r, heads)
             assert q.shape == (4 * k,) and yes.shape == (k, 6)
             lengths.append(len(tape))
-        assert lengths == [11, 11, 11, 11]
+            with Tape() as tape:
+                q, yes = multi_head(r, heads, [2, 1, 3])
+            assert q.shape == (3, 4 * k) and yes.shape == (k, 6)
+            lengths.append(len(tape))
+        # emission layer 5, stacked potentials 3, marginals 1, pooling 1
+        assert lengths == [10] * 8
 
     def test_multi_head_needs_heads(self):
         with pytest.raises(ValueError):

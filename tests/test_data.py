@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspectcrf import data
 from aspectcrf.data import (
     AspectInstance,
     CorpusFormatError,
@@ -301,6 +303,79 @@ class TestParseJsonl:
         with pytest.raises(FileNotFoundError):
             parse_corpus(tmp_path / "nope.jsonl")
 
+
+
+def parse_one_record_at_a_time(paths):
+    """Reference: every record parsed from its own file into one growing vocabulary,
+    so each text is tokenized afresh; the reports' counts are summed."""
+    vocab, instances, totals = Vocabulary(), [], {}
+    for path in paths:
+        found, vocab, report = parse_corpus(path, vocab=vocab)
+        instances += found
+        for field in ("sentences", "aspect_terms", "kept", "dropped_conflict", "dropped_unaligned"):
+            totals[field] = totals.get(field, 0) + getattr(report, field)
+    return instances, vocab, totals
+
+
+def report_counts(report):
+    return {field: getattr(report, field)
+            for field in ("sentences", "aspect_terms", "kept", "dropped_conflict", "dropped_unaligned")}
+
+
+class TestTokenizeOncePerSentence:
+    # a repeated text whose first records are dropped (unaligned, then
+    # conflict) before a kept one, so its ids must still enter the vocabulary
+    # in order, and a text that comes back after another one
+    RECORDS = [
+        ("Great pizza and cold beer.", 50, 60, "positive"),
+        ("Great pizza and cold beer.", 0, 5, "conflict"),
+        ("Great pizza and cold beer.", 21, 25, "negative"),
+        ("The menu was plain.", 4, 8, "neutral"),
+        ("The menu was plain.", 0, 3, "positive"),
+        ("Great pizza and cold beer.", 6, 11, "positive"),
+    ]
+
+    def test_jsonl_with_repeated_texts_matches_fresh_parsing(self, tmp_path, monkeypatch):
+        lines = [json.dumps({"text": t, "aspect_char_start": a, "aspect_char_end": b, "label": y})
+                 for t, a, b, y in self.RECORDS]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        singles = []
+        for k, line in enumerate(lines):
+            singles.append(tmp_path / f"record{k}.jsonl")
+            singles[-1].write_text(line + "\n", encoding="utf-8")
+        want, want_vocab, want_counts = parse_one_record_at_a_time(singles)
+        calls = []
+        monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        got, vocab, report = parse_corpus(path)
+        assert got == want
+        assert vocab.tokens == want_vocab.tokens
+        assert report_counts(report) == want_counts
+        # consecutive records of one text share one tokenization
+        assert calls == ["Great pizza and cold beer.", "The menu was plain.", "Great pizza and cold beer."]
+
+    def test_xml_sentence_with_several_terms_matches_fresh_parsing(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.xml"
+        path.write_text(XML_DOC, encoding="utf-8")
+        singles = []
+        for sid, text, term in (("s1", "The battery life is great, the screen is dim.",
+                                 '<aspectTerm term="battery life" polarity="positive" from="4" to="16"/>'),
+                                ("s1", "The battery life is great, the screen is dim.",
+                                 '<aspectTerm term="screen" polarity="negative" from="31" to="37"/>'),
+                                ("s2", "Service was fine.",
+                                 '<aspectTerm term="Service" polarity="conflict" from="0" to="7"/>')):
+            singles.append(tmp_path / f"term{len(singles)}.xml")
+            singles[-1].write_text(f'<sentences><sentence id="{sid}"><text>{text}</text>'
+                                   f"<aspectTerms>{term}</aspectTerms></sentence></sentences>", encoding="utf-8")
+        want, want_vocab, want_counts = parse_one_record_at_a_time(singles)
+        calls = []
+        monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        got, vocab, report = parse_corpus(path)
+        assert got == want
+        assert vocab.tokens == want_vocab.tokens
+        want_counts["sentences"] = 3  # one per <sentence>, the term-less one included
+        assert report_counts(report) == want_counts
+        assert calls == ["The battery life is great, the screen is dim."]
 
 
 class TestFormatBySuffix:

@@ -16,11 +16,10 @@ from aspectcrf.encoder import (
     apply_decay,
     bigru_encode,
     decay_weight,
-    decay_weights,
     embed_input,
     init_gru_direction,
 )
-from reference import grad_check, per_direction_bigru, taped_gru_direction
+from reference import grad_check, per_direction_bigru, reduce_sum, taped_gru_direction
 
 
 def gru_cell_oracle(xp, hp, h):
@@ -69,7 +68,7 @@ def values_and_gradients(run, inputs, upstream):
         t.zero_grad()
     with Tape() as tape:
         out = run()
-        tape.backward(ad.reduce_sum(ad.mul(out, upstream)))
+        tape.backward(reduce_sum(ad.mul(out, upstream)))
     return out.numpy(), [t.grad.copy() for t in inputs]
 
 
@@ -146,7 +145,7 @@ class TestBiGruOp:
         w = Tensor(rng.normal(size=(5, 6)))  # fixed weights make the loss non-degenerate
         inputs = [x] + layer_tensors([layer])
         assert len(inputs) == 9
-        report = grad_check(lambda: ad.reduce_sum(ad.mul(ad.bigru(x, layer.forward, layer.backward), w)), inputs)
+        report = grad_check(lambda: reduce_sum(ad.mul(ad.bigru(x, layer.forward, layer.backward), w)), inputs)
         assert report.passed, report.failures
 
     def test_rejects_bad_shapes(self):
@@ -242,7 +241,7 @@ class TestBiGru:
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         with Tape() as tape:
             out = bigru_encode(x, [layer])
-            tape.backward(ad.reduce_sum(ad.mul(out, Tensor(rng.normal(size=(4, 4))))))
+            tape.backward(reduce_sum(ad.mul(out, Tensor(rng.normal(size=(4, 4))))))
         for d in (layer.forward, layer.backward):
             for t in (d.w_ih, d.w_hh, d.b_ih, d.b_hh):
                 assert t.grad is not None and np.any(t.grad != 0.0)
@@ -258,7 +257,7 @@ class TestBiGru:
             layer.forward.b_hh, layer.backward.w_ih, x,
         ]
         report = grad_check(
-            lambda: ad.reduce_sum(ad.mul(bigru_encode(x, [layer]), w)), params
+            lambda: reduce_sum(ad.mul(bigru_encode(x, [layer]), w)), params
         )
         assert report.passed, report.failures
 
@@ -301,7 +300,7 @@ class TestDecay:
 
     def test_gamma_zero_disables_decay(self):
         spec = DecaySpec(gamma=0, max_len=10)
-        npt.assert_array_equal(decay_weights(10, 4, 5, spec), np.ones(10))
+        npt.assert_array_equal(decay_weight(np.arange(10), 4, 5, spec), np.ones(10))
 
     def test_monotone_in_gamma_off_aspect(self):
         rng = np.random.default_rng(10)
@@ -327,7 +326,7 @@ class TestDecay:
         spec = DecaySpec(gamma=1, max_len=8)
         h = np.random.default_rng(11).normal(size=(5, 3))
         out = apply_decay(Tensor(h), 2, 2, spec).numpy()
-        expected = h * decay_weights(5, 2, 2, spec)[:, None]
+        expected = h * decay_weight(np.arange(5), 2, 2, spec)[:, None]
         npt.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_no_gradient_reaches_decay_factors(self):
@@ -335,8 +334,8 @@ class TestDecay:
         h = Tensor(np.random.default_rng(12).normal(size=(4, 2)), requires_grad=True)
         with Tape() as tape:
             out = apply_decay(h, 1, 2, spec)
-            tape.backward(ad.reduce_sum(out))
-        expected = np.tile(decay_weights(4, 1, 2, spec)[:, None], (1, 2))
+            tape.backward(reduce_sum(out))
+        expected = np.tile(decay_weight(np.arange(4), 1, 2, spec)[:, None], (1, 2))
         npt.assert_allclose(h.grad, expected, rtol=0, atol=1e-15)
 
     def test_spec_validation(self):

@@ -22,7 +22,7 @@ from aspectcrf.training import (
     corpus_max_len,
     train,
 )
-from reference import dense_adam_step, exp
+from reference import dense_adam_step, exp, temporary_clip_global_norm
 
 FAST = dict(hidden_size=32, batch_size=64, dropout=0.3, d_as=50, gamma=1,
             crf_heads=1, embedding_dim=8, max_epochs=2, patience=1)
@@ -124,6 +124,27 @@ class TestClipping:
         t.grad = np.zeros(2)
         norm, clipped = clip_global_norm({"t": t})
         assert norm == 0.0 and not clipped
+
+    @pytest.mark.parametrize("scale", [1e-3, 30.0])
+    def test_norm_matches_temporary_reference(self, scale):
+        # restaurants-sized embedding gradient plus small and non-contiguous ones,
+        # below and above the threshold; a tensor without a gradient is skipped
+        rng = np.random.default_rng(int(scale * 1000))
+        shapes = {"emb": (4391, 300), "w": (64, 192), "b": (3,), "none": (2,)}
+        grads = {"emb": rng.normal(size=shapes["emb"]) * scale / 1000, "w": rng.normal(size=(192, 64)).T * scale,
+                 "b": rng.normal(size=3) * scale}
+        runs = []
+        for clip in (clip_global_norm, temporary_clip_global_norm):
+            named = {name: Tensor(np.zeros(shape), requires_grad=True, name=name) for name, shape in shapes.items()}
+            for name, g in grads.items():
+                named[name].grad = g.copy()
+            runs.append((clip(named), named))
+        ((norm, clipped), named), ((ref_norm, ref_clipped), ref_named) = runs
+        assert clipped == ref_clipped == (scale > 1.0)
+        npt.assert_allclose(norm, ref_norm, rtol=1e-12, atol=0)
+        assert named["none"].grad is None
+        for name in grads:
+            npt.assert_allclose(named[name].grad, ref_named[name].grad, rtol=1e-12, atol=0)
 
 
 class TestTrainLoop:

@@ -1,4 +1,4 @@
-"""Bit-identity probe: sha256 of the checkpoint, the JSONL log and the parameters of two short trainings.
+"""Bit-identity probe: sha256 of the checkpoint, log, parameters and served outputs of two short trainings.
 
 Run from the repository root:
 
@@ -10,8 +10,11 @@ it is and once with ``gru_layers=2``, on the acceptance training corpus
 ``split_train_dev`` at the config seed, the decay length is taken from train
 plus dev, and the fake clock makes the log reproducible. The tensors digest covers each
 ``named_tensors()`` name and its float64 bytes, so it stays put when only the
-checkpoint's config block changes. Two trees that train the same bits print
-the same six lines; pytest does not collect this file.
+checkpoint's config block changes. The served digest covers the float64 bytes
+of ``predict_instance``'s probabilities and head marginals for every dev
+instance, so a change to the serving path shows as its own pair. Two trees
+that train and serve the same bits print the same eight lines; pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from test_acceptance import (  # noqa: E402
 from aspectcrf.checkpoint import build_meta, serialize  # noqa: E402
 from aspectcrf.config import RunConfig  # noqa: E402
 from aspectcrf.data import parse_corpus, split_train_dev  # noqa: E402
+from aspectcrf.model import predict_instance  # noqa: E402
 from aspectcrf.synthetic import generate_records, write_jsonl  # noqa: E402
 from aspectcrf.training import train  # noqa: E402
 
@@ -54,7 +58,16 @@ def tensors_digest(named: dict) -> str:
     return h.hexdigest()
 
 
-def digests(overrides: dict, corpus_path: Path) -> tuple[str, str, str]:
+def served_digest(result, dev_set) -> str:
+    h = hashlib.sha256()
+    for inst in dev_set:
+        pred = predict_instance(result.params, inst, result.config, result.max_len)
+        for values in (pred.probabilities, *pred.head_marginals):
+            h.update(values.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def digests(overrides: dict, corpus_path: Path) -> tuple[str, str, str, str]:
     config = RunConfig(**overrides)
     instances, vocab, _ = parse_corpus(corpus_path)
     train_set, dev_set = split_train_dev(instances, seed=config.seed)
@@ -67,6 +80,7 @@ def digests(overrides: dict, corpus_path: Path) -> tuple[str, str, str]:
         hashlib.sha256(blob).hexdigest(),
         hashlib.sha256(log.getvalue().encode()).hexdigest(),
         tensors_digest(result.params.named_tensors()),
+        served_digest(result, dev_set),
     )
 
 
@@ -77,10 +91,11 @@ def main() -> None:
             SYN_TRAIN_SIZE, np.random.default_rng(SYN_TRAIN_SEED),
             min_clauses=SYN_TRAIN_CLAUSES[0], max_clauses=SYN_TRAIN_CLAUSES[1]))
         for name, overrides in RUNS.items():
-            ckpt, log, tensors = digests(overrides, corpus_path)
+            ckpt, log, tensors, served = digests(overrides, corpus_path)
             print(f"{name} checkpoint {ckpt}")
             print(f"{name} log {log}")
             print(f"{name} tensors {tensors}")
+            print(f"{name} served {served}")
 
 
 if __name__ == "__main__":
