@@ -227,8 +227,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), backward, "add")
 
@@ -238,8 +240,11 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        # dropout masks and decay factors are constants: skip their products
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward, "mul")
 
@@ -272,11 +277,12 @@ def matmul(a, b) -> Tensor:
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; the gradient scatter-adds into the touched rows only.
 
-    The adjoint sums the incoming rows that share an id in position order,
-    then adds each sum into its row of ``a.grad``, which it allocates only
-    when it is still None. Every touched row so receives the same sum a dense
-    |V| x d scatter would give, and the other rows are left alone instead of
-    having zeros added to them.
+    The adjoint sorts the ids stably and sums each id's incoming rows one
+    after another in position order (a cumulative sum, never numpy's pairwise
+    reduction), then adds each sum into its row of ``a.grad``, which it
+    allocates only when it is still None. Every touched row so receives the
+    same sum a dense |V| x d scatter would give, and the other rows are left
+    alone instead of having zeros added to them.
     """
     idx = np.asarray(indices, dtype=np.intp)
     if a.ndim != 2:
@@ -284,14 +290,25 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out_data = a.data[idx]
 
     def backward(g):
+        g = g.reshape(-1, a.shape[1])
         # the modulo folds negative ids onto the rows they selected
-        ids, slot = np.unique(idx.reshape(-1) % a.shape[0], return_inverse=True)
-        rows = np.zeros((ids.size, a.shape[1]))
-        np.add.at(rows, slot, g.reshape(-1, a.shape[1]))
+        flat = idx.reshape(-1) % a.shape[0]
+        order = np.argsort(flat, kind="stable")
+        ids = flat[order]
+        first = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, ids.size))
+        ids = ids[starts]
+        rows = g[order[starts]]  # a row seen once is its own sum
+        for k in np.flatnonzero(counts > 1):
+            run = order[starts[k] : starts[k] + counts[k]]
+            rows[k] = np.cumsum(g[run], axis=0)[-1]
         if not _all_finite(rows):
             raise NonFiniteError(f"non-finite gradient flowing into {a.name or '<anon>'}")
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            # np.zeros, unlike zeros_like, leaves untouched rows' pages unmapped
+            a.grad = np.zeros(a.shape)
         a.grad[ids] += rows
 
     return _make(out_data, (a,), backward, "gather_rows")

@@ -36,44 +36,78 @@ class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or empty split)."""
 
 
+# A 2-D tensor whose live rows are fewer than this share of its rows is
+# updated on a gathered copy of those rows; otherwise it is updated in place.
+SPARSE_ROW_SHARE = 0.5
+
+
 class AdamState:
-    """First/second moment estimates per parameter, plus the step counter."""
+    """First/second moment estimates per parameter, plus the step counter.
+
+    ``live`` marks, per 2-D tensor, the rows that have ever had a nonzero
+    gradient. Every other row still has m = v = 0, which Adam maps to itself
+    (and leaves the row's data unchanged) while its gradient stays zero.
+    The moments start as ``np.zeros`` so that rows no step touches are
+    never written.
+    """
 
     def __init__(self, named: dict[str, ad.Tensor]):
-        self.m = {name: np.zeros_like(t.data) for name, t in named.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in named.items()}
+        self.m = {name: np.zeros(t.shape) for name, t in named.items()}
+        self.v = {name: np.zeros(t.shape) for name, t in named.items()}
+        self.live = {name: np.zeros(t.shape[0], dtype=bool)
+                     for name, t in named.items() if t.ndim == 2}
         self.step = 0
+
+
+def _adam_update(g, m, v, data, lr: float, bc1: float, bc2: float) -> None:
+    """m, v and data updated in place from g, into two scratch arrays."""
+    step = g * (1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += step
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    step *= g
+    v *= ADAM_BETA2
+    v += step
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= denom
+    data -= step
 
 
 def adam_step(named: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update; tensors without a gradient see g = 0.
 
     Per tensor this is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    data -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order
-    into two scratch arrays, so no other full-size temporary is made.
+    data -= lr (m / bc1) / (sqrt(v / bc2) + eps). A 2-D tensor whose live
+    rows are a minority (``SPARSE_ROW_SHARE``) is updated on those rows
+    only. The rows it skips have zero moments and gradient, so the dense
+    update would leave them as they are, and the result is the same bits.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, tensor in named.items():
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        g = tensor.grad
         m = state.m[name]
         v = state.v[name]
-        step = g * (1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += step
-        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-        step *= g
-        v *= ADAM_BETA2
-        v += step
-        denom = v / bc2
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, bc1, out=step)
-        step *= lr
-        step /= denom
-        tensor.data -= step
+        live = state.live.get(name)
+        if live is not None:
+            if g is not None:
+                live |= g.any(axis=1)
+            rows = np.flatnonzero(live)
+            if rows.size < SPARSE_ROW_SHARE * live.size:
+                g_rows = g[rows] if g is not None else np.zeros((rows.size, tensor.shape[1]))
+                m_rows, v_rows, data_rows = m[rows], v[rows], tensor.data[rows]
+                _adam_update(g_rows, m_rows, v_rows, data_rows, lr, bc1, bc2)
+                m[rows], v[rows], tensor.data[rows] = m_rows, v_rows, data_rows
+                continue
+        if g is None:
+            g = np.zeros(tensor.shape)
+        _adam_update(g, m, v, tensor.data, lr, bc1, bc2)
 
 
 def clip_global_norm(named: dict[str, ad.Tensor]) -> tuple[float, bool]:

@@ -274,6 +274,25 @@ class TestBackward:
         npt.assert_array_equal(m.grad, np.ones((3, 4)))
         npt.assert_array_equal(bias.grad, np.full(4, 3.0))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_constant_operand_forms_no_gradient_term(self, op, constant_first):
+        rng = np.random.default_rng(53)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="x")
+        c = Tensor(rng.normal(size=4) * 1e3)  # broadcast, like a mask or decay factor
+        upstream = rng.normal(size=(3, 4))
+        with Tape() as tape:
+            out = op(c, x) if constant_first else op(x, c)
+            (_, adjoint), = tape._entries
+        c_data, x_data = c.data, x.data
+        # mul's adjoint would need x to form the constant's term g * x
+        x.data = np.full(x.shape, None, dtype=object)
+        adjoint(upstream)
+        assert c.grad is None
+        expected = upstream if op is ad.add else upstream * c_data
+        npt.assert_array_equal(x.grad, expected)
+        npt.assert_array_equal(out.data, x_data + c_data if op is ad.add else x_data * c_data)
+
     def test_transpose_value_and_gradient(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="a")
         w = Tensor(np.arange(6.0).reshape(3, 2) * 0.5)
@@ -316,14 +335,33 @@ class TestBackward:
         assert len(tape) == 0
 
 
+def add_at_gather_rows(a: Tensor, indices) -> Tensor:
+    """gather_rows with the row-sparse adjoint before the sorted scatter:
+    np.unique plus one np.add.at into a k x d block."""
+    idx = np.asarray(indices, dtype=np.intp)
+    out_data = a.data[idx]
+
+    def backward(g):
+        ids, slot = np.unique(idx.reshape(-1) % a.shape[0], return_inverse=True)
+        rows = np.zeros((ids.size, a.shape[1]))
+        np.add.at(rows, slot, g.reshape(-1, a.shape[1]))
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[ids] += rows
+
+    return ad._make(out_data, (a,), backward, "gather_rows")
+
+
 class TestSparseGatherRows:
     """The row-sparse adjoint against the dense |V| x d scatter it replaced."""
 
     @staticmethod
-    def table_grads(gather, table_data, calls, weights, dense=None):
+    def table_grads(gather, table_data, calls, weights, dense=None, grad=None):
         """Gradients of sum_k <weights[k], gather(table, calls[k])>, plus an
-        optional <dense[1], table @ dense[0]> term recorded between the gathers."""
+        optional <dense[1], table @ dense[0]> term recorded between the gathers,
+        added to ``grad`` when the table already holds one."""
         table = Tensor(table_data, requires_grad=True, name="table")
+        table.grad = None if grad is None else grad.copy()
         with Tape() as tape:
             terms = []
             for k, (ids, w) in enumerate(zip(calls, weights)):
@@ -336,10 +374,37 @@ class TestSparseGatherRows:
             tape.backward(loss)
         return table.grad
 
-    def assert_matches_dense(self, table_data, calls, weights, dense=None):
-        sparse = self.table_grads(ad.gather_rows, table_data, calls, weights, dense)
-        reference = self.table_grads(dense_gather_rows, table_data, calls, weights, dense)
-        npt.assert_array_equal(sparse, reference)
+    def assert_matches_dense(self, table_data, calls, weights, dense=None, grad=None):
+        sparse = self.table_grads(ad.gather_rows, table_data, calls, weights, dense, grad)
+        for gather in (dense_gather_rows, add_at_gather_rows):
+            reference = self.table_grads(gather, table_data, calls, weights, dense, grad)
+            npt.assert_array_equal(sparse, reference)
+
+    SCATTER_CASES = ("d1", "d300", "one_id_500_times", "negative_ids", "all_distinct", "grad_already_held")
+
+    @pytest.mark.parametrize("case", SCATTER_CASES)
+    def test_sorted_scatter_bit_for_bit(self, case):
+        rng = np.random.default_rng(self.SCATTER_CASES.index(case))
+        rows, d, n = 30, {"d1": 1, "d300": 300}.get(case, 5), 200
+        ids = rng.integers(0, rows, size=n)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        grad = None
+        if case == "one_id_500_times":
+            # signs and magnitudes from 1e-8 to 1e8 on one row: a pairwise or
+            # blocked sum gives other bits than position order
+            ids = np.r_[np.full(500, 7), ids]
+            rng.shuffle(ids)
+            n = ids.size
+            scale = 10.0 ** rng.uniform(-8, 8, size=(n, d))
+        elif case == "negative_ids":
+            ids = np.where(rng.random(n) < 0.5, ids - rows, ids)
+        elif case == "all_distinct":
+            ids = rng.permutation(rows)[:25]
+            n, scale = 25, 1.0
+        elif case == "grad_already_held":
+            grad = rng.normal(size=(rows, d))
+        weights = rng.normal(size=(n, d)) * scale
+        self.assert_matches_dense(rng.normal(size=(rows, d)), [ids], [weights], grad=grad)
 
     def test_repeated_ids_in_one_call(self):
         rng = np.random.default_rng(31)

@@ -15,6 +15,7 @@ from aspectcrf.data import AspectInstance, parse_corpus, split_train_dev
 from aspectcrf.model import evaluate
 from aspectcrf.synthetic import generate_records, write_jsonl
 from aspectcrf.training import (
+    SPARSE_ROW_SHARE,
     AdamState,
     TrainingError,
     adam_step,
@@ -75,29 +76,56 @@ class TestAdam:
 
     def test_equals_dense_reference_bit_for_bit(self):
         rng = np.random.default_rng(43)
-        shapes = {"table": (30, 7), "bias": (5,), "idle": (3, 2)}
+        shapes = {"table": (40, 7), "bias": (5,), "idle": (3,)}
         start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        # the table's rows with a gradient at each step (None: no gradient):
+        # rows go live at different steps, live row 3 later gets an exact zero
+        # gradient, row 0 a -0.0 one, and step 5 crosses SPARSE_ROW_SHARE
+        schedule = [[3, 8], [8, 11, 12, 20], None, [3, 0, *range(25, 31)],
+                    list(range(1, 26)), [5, 6], None]
+        live_counts = []
         runs = []
         for step_fn in (adam_step, dense_adam_step):
             named = {name: Tensor(data, requires_grad=True, name=name) for name, data in start.items()}
             state = AdamState(named)
             draws = np.random.default_rng(47)
-            for name, shape in shapes.items():
-                state.m[name][...] = draws.normal(size=shape)
-                state.v[name][...] = draws.uniform(0.0, 2.0, size=shape)
-            for _ in range(6):
-                for name, shape in shapes.items():
-                    # "idle" never has a gradient; the others span many scales
-                    grad = draws.normal(size=shape) * 10.0 ** draws.integers(-6, 4, size=shape)
-                    named[name].grad = None if name == "idle" else grad
+            # 1-D tensors have no live rows, so they may start mid-run; a
+            # table's rows start from the zero moments of a fresh state
+            for name in ("bias", "idle"):
+                state.m[name][...] = draws.normal(size=shapes[name])
+                state.v[name][...] = draws.uniform(0.0, 2.0, size=shapes[name])
+            for step, rows in enumerate(schedule, 1):
+                # "idle" never has a gradient; the others span many scales
+                grad = draws.normal(size=shapes["bias"]) * 10.0 ** draws.integers(-6, 4, size=5)
+                named["bias"].grad = None if step == 3 else grad
+                named["idle"].grad = None
+                table_grad = None
+                if rows is not None:
+                    table_grad = np.zeros(shapes["table"])
+                    size = (len(rows), 7)
+                    table_grad[rows] = draws.normal(size=size) * 10.0 ** draws.integers(-6, 4, size=size)
+                    if step == 4:
+                        table_grad[3] = 0.0
+                        table_grad[0] = -0.0
+                named["table"].grad = table_grad
                 step_fn(named, state, lr=draws.uniform(1e-4, 0.1))
+                if step_fn is adam_step:
+                    live_counts.append(int(state.live["table"].sum()))
             runs.append((named, state))
+        cutoff = SPARSE_ROW_SHARE * shapes["table"][0]
+        assert live_counts == [2, 5, 5, 11, 30, 30, 30]
+        assert max(live_counts[:4]) < cutoff <= min(live_counts[4:])
         (named, state), (ref_named, ref_state) = runs
-        assert state.step == ref_state.step == 6
+        assert state.step == ref_state.step == len(schedule)
         for name in shapes:
             npt.assert_array_equal(named[name].data, ref_named[name].data)
             npt.assert_array_equal(state.m[name], ref_state.m[name])
             npt.assert_array_equal(state.v[name], ref_state.v[name])
+        # rows that never had a nonzero gradient kept their bits and zero moments
+        never = ~state.live["table"]
+        assert never.sum() == 10 and never[0]
+        npt.assert_array_equal(named["table"].data[never], start["table"][never])
+        assert not state.m["table"][never].any() and not state.v["table"][never].any()
 
 
 class TestClipping:
